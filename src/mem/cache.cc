@@ -3,10 +3,10 @@
  * Set-associative cache directory implementation.
  *
  * Lookups scan the set's ways directly at low associativity (L1/L2:
- * a few contiguous tag compares) and fall back to a tag hash map for
- * wide instances, so even the fully associative 32K-entry SNC costs
- * O(1) per operation. Victim selection is constant-time via per-set
- * intrusive recency lists.
+ * a few contiguous tag compares) and fall back to a radix directory
+ * keyed by line number for wide instances, so even the fully
+ * associative 32K-entry SNC costs O(1) per operation. Victim
+ * selection is constant-time via per-set intrusive recency lists.
  */
 
 #include "mem/cache.hh"
@@ -43,10 +43,10 @@ Cache::Cache(const CacheConfig &config)
 
     lines_.resize(num_lines);
     tag_words_.assign(num_lines, 0);
-    next_.assign(num_lines, kNil);
-    prev_.assign(num_lines, kNil);
-    head_.assign(num_sets_, kNil);
-    tail_.assign(num_sets_, kNil);
+    next_.assign(num_lines, kNoEntry);
+    prev_.assign(num_lines, kNoEntry);
+    head_.assign(num_sets_, kNoEntry);
+    tail_.assign(num_sets_, kNoEntry);
     // Link every way into its set's recency list (all invalid, so
     // order within the list is arbitrary at start).
     for (uint64_t set = 0; set < num_sets_; ++set) {
@@ -54,10 +54,8 @@ Cache::Cache(const CacheConfig &config)
             pushFront(set, static_cast<uint32_t>(set * ways_ + way));
     }
     // 8 ways = at most three cache lines of tags per probe; beyond
-    // that (the fully associative SNC) the map wins.
+    // that (the fully associative SNC) the directory wins.
     scan_ways_ = ways_ <= 8;
-    if (!scan_ways_)
-        map_.reserve(num_lines);
 }
 
 uint64_t
@@ -69,12 +67,12 @@ Cache::lineAlign(uint64_t addr) const
 void
 Cache::pushBack(uint64_t set, uint32_t idx)
 {
-    next_[idx] = kNil;
+    next_[idx] = kNoEntry;
     prev_[idx] = tail_[set];
-    if (tail_[set] != kNil)
+    if (tail_[set] != kNoEntry)
         next_[tail_[set]] = idx;
     tail_[set] = idx;
-    if (head_[set] == kNil)
+    if (head_[set] == kNoEntry)
         head_[set] = idx;
 }
 
@@ -85,14 +83,16 @@ Cache::fill(uint64_t addr, bool dirty, uint64_t meta)
     const uint64_t set = setIndex(line_number);
 
     if (const uint32_t resident = findIdx(line_number);
-        resident != kNil) {
+        resident != kNoEntry) {
         // Refill of a resident line: refresh in place.
         Line &line = lines_[resident];
         line.dirty = line.dirty || dirty;
         line.meta = meta;
         unlink(set, resident);
         pushFront(set, resident);
-        return Victim{};
+        Victim none;
+        none.entry = resident;
+        return none;
     }
 
     // Victim: the set's recency tail. Invalid ways are kept at the
@@ -108,7 +108,7 @@ Cache::fill(uint64_t addr, bool dirty, uint64_t meta)
             uint32_t hops = static_cast<uint32_t>(
                 victim_rng_.nextRange(ways_));
             idx = head_[set];
-            while (hops-- > 0 && next_[idx] != kNil)
+            while (hops-- > 0 && next_[idx] != kNoEntry)
                 idx = next_[idx];
             break;
           }
@@ -119,6 +119,7 @@ Cache::fill(uint64_t addr, bool dirty, uint64_t meta)
     }
 
     Victim victim;
+    victim.entry = idx;
     Line &slot = lines_[idx];
     if (tag_words_[idx] & 1) {
         const uint64_t old_tag = tag_words_[idx] >> 1;
@@ -138,7 +139,7 @@ Cache::fill(uint64_t addr, bool dirty, uint64_t meta)
     slot.dirty = dirty;
     slot.meta = meta;
     if (!scan_ways_)
-        map_[line_number] = idx;
+        map_.insert(line_number, idx);
     unlink(set, idx);
     pushFront(set, idx);
     ++occupancy_;
@@ -150,10 +151,11 @@ Cache::invalidate(uint64_t addr)
 {
     const uint64_t line_number = addr >> line_shift_;
     const uint32_t idx = findIdx(line_number);
-    if (idx == kNil)
+    if (idx == kNoEntry)
         return Victim{};
     Line &line = lines_[idx];
     Victim victim;
+    victim.entry = idx;
     victim.valid = true;
     victim.dirty = line.dirty;
     victim.line_addr = (tag_words_[idx] >> 1) << line_shift_;
@@ -180,6 +182,7 @@ Cache::invalidateAll()
             continue;
         Line &line = lines_[idx];
         Victim victim;
+        victim.entry = static_cast<uint32_t>(idx);
         victim.valid = true;
         victim.dirty = line.dirty;
         victim.line_addr = (tag_words_[idx] >> 1) << line_shift_;
@@ -197,8 +200,8 @@ Cache::invalidateAll()
 std::optional<uint64_t>
 Cache::meta(uint64_t addr) const
 {
-    const uint32_t idx = findIdx(addr >> line_shift_);
-    if (idx == kNil)
+    const uint32_t idx = find(addr);
+    if (idx == kNoEntry)
         return std::nullopt;
     return lines_[idx].meta;
 }
@@ -206,8 +209,8 @@ Cache::meta(uint64_t addr) const
 bool
 Cache::setMeta(uint64_t addr, uint64_t value)
 {
-    const uint32_t idx = findIdx(addr >> line_shift_);
-    if (idx == kNil)
+    const uint32_t idx = find(addr);
+    if (idx == kNoEntry)
         return false;
     lines_[idx].meta = value;
     return true;

@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "util/flat_map.hh"
+#include "util/radix_array.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 
@@ -55,6 +55,9 @@ struct CacheConfig
     uint64_t numLines() const { return size_bytes / line_size; }
 };
 
+/** Entry index meaning "no directory entry" (a miss). */
+inline constexpr uint32_t kNoEntry = ~uint32_t{0};
+
 /** Description of a line displaced by a fill. */
 struct Victim
 {
@@ -62,6 +65,11 @@ struct Victim
     bool dirty = false;   ///< it held modified data
     uint64_t line_addr = 0; ///< its line address (byte addr of line start)
     uint64_t meta = 0;    ///< its metadata word
+    /**
+     * Directory entry the line occupied. From fill() this is the entry
+     * the new line now occupies, whether or not anything was displaced.
+     */
+    uint32_t entry = kNoEntry;
 };
 
 /**
@@ -69,17 +77,41 @@ struct Victim
  *
  * All public methods take byte addresses; alignment to lines happens
  * internally. Addresses sharing a line map to the same entry.
+ *
+ * Entries are numbered set * ways + way, below config().numLines().
+ * A line keeps its entry index until it is evicted or invalidated,
+ * so a client can keep per-entry side data in a flat array (the SNC
+ * keeps its sequence-number slots that way).
  */
 class Cache
 {
   public:
     explicit Cache(const CacheConfig &config);
 
+    /**
+     * Look up the line for @p addr, counting a hit or miss; a hit
+     * refreshes recency and, with @p write, marks the line dirty.
+     * @return the line's entry index, or kNoEntry on a miss.
+     */
+    uint32_t lookup(uint64_t addr, bool write);
+
     /** @return true and refresh recency if the line is present. */
-    bool access(uint64_t addr, bool write);
+    bool access(uint64_t addr, bool write)
+    {
+        return lookup(addr, write) != kNoEntry;
+    }
+
+    /**
+     * Entry index of @p addr's line, or kNoEntry, with no recency or
+     * statistics side effects.
+     */
+    uint32_t find(uint64_t addr) const
+    {
+        return findIdx(addr >> line_shift_);
+    }
 
     /** Presence test with no recency or statistics side effects. */
-    bool probe(uint64_t addr) const;
+    bool probe(uint64_t addr) const { return find(addr) != kNoEntry; }
 
     /**
      * Insert the line for @p addr.
@@ -87,7 +119,8 @@ class Cache
      * @param addr Byte address anywhere in the line.
      * @param dirty Install in modified state.
      * @param meta Metadata word stored with the line.
-     * @return The displaced victim, or std::nullopt if the policy is
+     * @return The displaced victim, its entry set to the entry the
+     *         line now occupies; or std::nullopt if the policy is
      *         NoReplacement and the set was full (fill rejected).
      */
     std::optional<Victim> fill(uint64_t addr, bool dirty, uint64_t meta);
@@ -95,7 +128,10 @@ class Cache
     /** Remove a line if present. @return its victim record. */
     Victim invalidate(uint64_t addr);
 
-    /** Drop every line; @return all valid victims (for flushes). */
+    /**
+     * Drop every line; @return all valid victims (for flushes) in
+     * ascending entry order.
+     */
     std::vector<Victim> invalidateAll();
 
     /** Read the metadata word of a resident line. */
@@ -135,8 +171,6 @@ class Cache
         uint64_t meta = 0;
     };
 
-    static constexpr uint32_t kNil = ~uint32_t{0};
-
     CacheConfig config_;
     unsigned line_shift_;
     uint64_t num_sets_;
@@ -154,13 +188,17 @@ class Cache
 
     /**
      * Low-associativity sets are probed by scanning their ways
-     * directly (a handful of contiguous tag compares beats any hash
-     * lookup); only wide/fully-associative instances (the SNC) keep
-     * the tag map.
+     * directly (a handful of contiguous tag compares beats any
+     * lookup structure); only wide/fully-associative instances (the
+     * SNC, 32-way configurations) keep the radix directory.
      */
     bool scan_ways_;
-    /** line number -> index into lines_ (O(1) tag lookup). */
-    util::FlatMap<uint32_t> map_;
+    /**
+     * line number -> entry index, wide instances only. Radix-keyed
+     * like the memory plane's other line tables: lines arrive in
+     * sequential runs, which stay inside one hot group.
+     */
+    util::RadixArray<uint32_t> map_;
     /** Per-set intrusive recency lists (head = MRU, tail = LRU). */
     std::vector<uint32_t> next_;
     std::vector<uint32_t> prev_;
@@ -180,7 +218,7 @@ class Cache
     void pushBack(uint64_t set, uint32_t idx);
 };
 
-// The lookup path (access / probe / findIdx and the LRU splice) runs
+// The lookup path (lookup / find / findIdx and the LRU splice) runs
 // a few hundred million times per full-length experiment; defining it
 // here lets the per-access call chain inline into the simulator's
 // memory path instead of crossing a translation unit per probe.
@@ -202,10 +240,10 @@ Cache::findIdx(uint64_t line_number) const
             if (tags[way] == want)
                 return static_cast<uint32_t>(base + way);
         }
-        return kNil;
+        return kNoEntry;
     }
     const uint32_t *it = map_.find(line_number);
-    return it == nullptr ? kNil : *it;
+    return it == nullptr ? kNoEntry : *it;
 }
 
 inline void
@@ -213,37 +251,37 @@ Cache::unlink(uint64_t set, uint32_t idx)
 {
     const uint32_t p = prev_[idx];
     const uint32_t n = next_[idx];
-    if (p != kNil)
+    if (p != kNoEntry)
         next_[p] = n;
     else
         head_[set] = n;
-    if (n != kNil)
+    if (n != kNoEntry)
         prev_[n] = p;
     else
         tail_[set] = p;
-    prev_[idx] = next_[idx] = kNil;
+    prev_[idx] = next_[idx] = kNoEntry;
 }
 
 inline void
 Cache::pushFront(uint64_t set, uint32_t idx)
 {
-    prev_[idx] = kNil;
+    prev_[idx] = kNoEntry;
     next_[idx] = head_[set];
-    if (head_[set] != kNil)
+    if (head_[set] != kNoEntry)
         prev_[head_[set]] = idx;
     head_[set] = idx;
-    if (tail_[set] == kNil)
+    if (tail_[set] == kNoEntry)
         tail_[set] = idx;
 }
 
-inline bool
-Cache::access(uint64_t addr, bool write)
+inline uint32_t
+Cache::lookup(uint64_t addr, bool write)
 {
     const uint64_t line_number = addr >> line_shift_;
     const uint32_t idx = findIdx(line_number);
-    if (idx == kNil) {
+    if (idx == kNoEntry) {
         ++misses_;
-        return false;
+        return kNoEntry;
     }
     ++hits_;
     // FIFO recency is fixed at insertion; only LRU tracks touches.
@@ -258,20 +296,14 @@ Cache::access(uint64_t addr, bool write)
     }
     if (write)
         lines_[idx].dirty = true;
-    return true;
-}
-
-inline bool
-Cache::probe(uint64_t addr) const
-{
-    return findIdx(addr >> line_shift_) != kNil;
+    return idx;
 }
 
 inline bool
 Cache::setDirty(uint64_t addr)
 {
-    const uint32_t idx = findIdx(addr >> line_shift_);
-    if (idx == kNil)
+    const uint32_t idx = find(addr);
+    if (idx == kNoEntry)
         return false;
     lines_[idx].dirty = true;
     return true;

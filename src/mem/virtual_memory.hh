@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "util/bitops.hh"
 #include "util/radix_array.hh"
 
 namespace secproc::mem
@@ -65,36 +64,6 @@ class VirtualMemory
 {
   public:
     static constexpr uint64_t kPageSize = 4096;
-
-    /**
-     * Key of the retired (asid, vpn) unordered_map layout, kept for
-     * the differential suite's reference implementation. @{
-     */
-    struct PageKey
-    {
-        Asid asid;
-        uint64_t vpn;
-        bool operator==(const PageKey &o) const
-        {
-            return asid == o.asid && vpn == o.vpn;
-        }
-    };
-    struct PageKeyHash
-    {
-        size_t
-        operator()(const PageKey &k) const
-        {
-            // mix64 is bijective, so collisions can only come from
-            // combining the parts — mixing *between* them keeps the
-            // pair injective up to finalizer collisions, unlike the
-            // old `(asid << 48) ^ vpn` packing which collided for
-            // any vpn with bits >= 48 (high mmap-style VAs).
-            return static_cast<size_t>(
-                util::mix64(util::mix64(k.vpn) +
-                            static_cast<uint64_t>(k.asid)));
-        }
-    };
-    /** @} */
 
     VirtualMemory();
 

@@ -52,7 +52,7 @@ OtpEngine::absorbInstall(const SncInstall &install, uint64_t line_va,
     memory_table_.erase(lineIdx(line_va));
     for (const SncEntry &victim : install.victims)
         memory_table_.insert(lineIdx(victim.line_va), victim.seqnum);
-    if (install.victim_valid && victim_spilled != nullptr)
+    if (!install.victims.empty() && victim_spilled != nullptr)
         *victim_spilled = true;
 
     // Sectored SNC: the sector fetch brought the neighbours'

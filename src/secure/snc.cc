@@ -5,15 +5,15 @@
  * Internally reuses the generic set-associative Cache as the tag
  * directory, one "line" per sector of sector_lines consecutive L2
  * lines (span = l2_line_size * sector_lines, so consecutive sectors
- * map to consecutive sets). Per-sector sequence-number slots live in
- * a side table; with the default sector_lines = 1 this reduces to
- * the paper's one-tag-per-entry organization.
+ * map to consecutive sets). The sequence numbers live in one flat
+ * slot array indexed by the directory entry the Cache reports; with
+ * the default sector_lines = 1 this reduces to the paper's
+ * one-tag-per-entry organization.
  */
 
 #include "secure/snc.hh"
 
-#include <algorithm>
-
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::secure
@@ -47,55 +47,34 @@ makeCacheConfig(const SncConfig &config)
 
 } // namespace
 
+// cache_ is built first and rejects a sector span that is not a power
+// of two, so the L2 line size and sector_lines are powers of two too
+// and slot arithmetic is shifts and masks.
 SequenceNumberCache::SequenceNumberCache(const SncConfig &config)
     : config_(config), cache_(makeCacheConfig(config)),
-      sector_arena_(config.sector_lines * sizeof(uint32_t))
+      line_shift_(util::floorLog2(config.l2_line_size)),
+      span_mask_(config.sectorSpan() - 1),
+      slots_(config.entries(), kEmptySlot),
+      victim_buf_(config.sector_lines),
+      cofetch_buf_(config.sector_lines - 1)
 {}
-
-uint64_t
-SequenceNumberCache::sectorBase(uint64_t line_va) const
-{
-    return line_va / config_.sectorSpan() * config_.sectorSpan();
-}
-
-uint64_t
-SequenceNumberCache::sectorIndex(uint64_t line_va) const
-{
-    return line_va / config_.sectorSpan();
-}
-
-size_t
-SequenceNumberCache::slotIndex(uint64_t line_va) const
-{
-    return (line_va % config_.sectorSpan()) / config_.l2_line_size;
-}
-
-uint32_t *
-SequenceNumberCache::slotFor(uint64_t line_va)
-{
-    uint32_t *const *sector = sectors_.find(sectorIndex(line_va));
-    if (sector == nullptr)
-        return nullptr;
-    return *sector + slotIndex(line_va);
-}
 
 std::optional<uint32_t>
 SequenceNumberCache::query(uint64_t line_va)
 {
-    if (!cache_.access(line_va, /*write=*/false)) {
-        ++query_misses_;
-        return std::nullopt;
-    }
-    const uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot) {
-        // Tag present but this line's slot was never populated: the
-        // sequence number is not on chip, which is a miss.
+    const uint32_t entry = cache_.lookup(line_va, /*write=*/false);
+    const uint32_t seqnum =
+        entry == mem::kNoEntry
+            ? kEmptySlot
+            : slots_[firstSlot(entry) + slotIndex(line_va)];
+    // A resident tag whose slot for this line was never populated
+    // does not hold the sequence number either: that is a miss too.
+    if (seqnum == kEmptySlot) {
         ++query_misses_;
         return std::nullopt;
     }
     ++query_hits_;
-    return *slot;
+    return seqnum;
 }
 
 bool
@@ -107,12 +86,10 @@ SequenceNumberCache::contains(uint64_t line_va) const
 std::optional<uint32_t>
 SequenceNumberCache::peek(uint64_t line_va) const
 {
-    if (!cache_.probe(line_va))
+    const uint32_t entry = cache_.find(line_va);
+    if (entry == mem::kNoEntry)
         return std::nullopt;
-    uint32_t *const *sector = sectors_.find(sectorIndex(line_va));
-    if (sector == nullptr)
-        return std::nullopt;
-    const uint32_t slot = (*sector)[slotIndex(line_va)];
+    const uint32_t slot = slots_[firstSlot(entry) + slotIndex(line_va)];
     if (slot == kEmptySlot)
         return std::nullopt;
     return slot;
@@ -121,13 +98,12 @@ SequenceNumberCache::peek(uint64_t line_va) const
 std::optional<uint32_t>
 SequenceNumberCache::increment(uint64_t line_va)
 {
-    if (!cache_.access(line_va, /*write=*/true)) {
-        ++update_misses_;
-        return std::nullopt;
-    }
-    uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot) {
+    const uint32_t entry = cache_.lookup(line_va, /*write=*/true);
+    uint32_t *const slot =
+        entry == mem::kNoEntry
+            ? nullptr
+            : &slots_[firstSlot(entry) + slotIndex(line_va)];
+    if (slot == nullptr || *slot == kEmptySlot) {
         ++update_misses_;
         return std::nullopt;
     }
@@ -149,12 +125,12 @@ SequenceNumberCache::install(uint64_t line_va, uint32_t seqnum)
     SncInstall result;
 
     // Resident sector: populate the slot in place, no displacement.
-    if (cache_.access(line_va, /*write=*/true)) {
-        uint32_t *slot = slotFor(line_va);
-        panic_if(slot == nullptr, "SNC directory/slot table divergence");
-        if (*slot == kEmptySlot)
+    if (const uint32_t entry = cache_.lookup(line_va, /*write=*/true);
+        entry != mem::kNoEntry) {
+        uint32_t &slot = slots_[firstSlot(entry) + slotIndex(line_va)];
+        if (slot == kEmptySlot)
             ++occupancy_;
-        *slot = seqnum;
+        slot = seqnum;
         result.installed = true;
         return result;
     }
@@ -166,55 +142,50 @@ SequenceNumberCache::install(uint64_t line_va, uint32_t seqnum)
     }
     result.installed = true;
 
+    // The new sector takes over the victim's entry: hand back every
+    // populated slot for spilling and leave them all empty. A free
+    // entry's slots are already empty.
+    uint32_t *const slots = slots_.data() + firstSlot(victim->entry);
     if (victim->valid) {
-        const uint64_t victim_index = sectorIndex(victim->line_addr);
-        uint32_t *const *sector = sectors_.find(victim_index);
-        panic_if(sector == nullptr,
-                 "SNC victim sector has no slot table");
-        for (size_t i = 0; i < config_.sector_lines; ++i) {
-            if ((*sector)[i] == kEmptySlot)
+        size_t spilled = 0;
+        for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+            if (slots[i] == kEmptySlot)
                 continue;
-            result.victims.push_back(SncEntry{
-                victim->line_addr + i * config_.l2_line_size,
-                (*sector)[i]});
-            --occupancy_;
-            ++spills_;
+            victim_buf_[spilled++] = SncEntry{
+                victim->line_addr + uint64_t{i} * config_.l2_line_size,
+                slots[i]};
+            slots[i] = kEmptySlot;
         }
-        sector_arena_.release(
-            reinterpret_cast<uint8_t *>(*sector));
-        sectors_.erase(victim_index);
-        if (!result.victims.empty()) {
-            result.victim_valid = true;
-            result.victim_line = result.victims.front().line_va;
-            result.victim_seqnum = result.victims.front().seqnum;
-        }
+        occupancy_ -= spilled;
+        spills_ += spilled;
+        result.victims = {victim_buf_.data(), spilled};
     }
 
-    const uint64_t base = sectorBase(line_va);
-    uint32_t *&slots = sectors_.touch(sectorIndex(line_va));
-    panic_if(slots != nullptr, "SNC slot table leaked past its tag");
-    slots = reinterpret_cast<uint32_t *>(sector_arena_.allocate());
-    std::fill_n(slots, config_.sector_lines, kEmptySlot);
-    slots[slotIndex(line_va)] = seqnum;
+    const size_t own = slotIndex(line_va);
+    slots[own] = seqnum;
     ++occupancy_;
+    const uint64_t base = line_va & ~span_mask_;
+    size_t cofetched = 0;
     for (uint32_t i = 0; i < config_.sector_lines; ++i) {
-        const uint64_t other = base + uint64_t{i} * config_.l2_line_size;
-        if (other != line_va)
-            result.cofetched.push_back(other);
+        if (i != own) {
+            cofetch_buf_[cofetched++] =
+                base + uint64_t{i} * config_.l2_line_size;
+        }
     }
+    result.cofetched = {cofetch_buf_.data(), cofetched};
     return result;
 }
 
 bool
 SequenceNumberCache::setEntry(uint64_t line_va, uint32_t seqnum)
 {
-    if (!cache_.probe(line_va))
+    const uint32_t entry = cache_.find(line_va);
+    if (entry == mem::kNoEntry)
         return false;
-    uint32_t *slot = slotFor(line_va);
-    panic_if(slot == nullptr, "SNC directory/slot table divergence");
-    if (*slot == kEmptySlot)
+    uint32_t &slot = slots_[firstSlot(entry) + slotIndex(line_va)];
+    if (slot == kEmptySlot)
         ++occupancy_;
-    *slot = seqnum;
+    slot = seqnum;
     return true;
 }
 
@@ -222,21 +193,18 @@ std::vector<SncEntry>
 SequenceNumberCache::flush()
 {
     std::vector<SncEntry> entries;
+    entries.reserve(occupancy_);
     for (const mem::Victim &victim : cache_.invalidateAll()) {
-        uint32_t *const *sector =
-            sectors_.find(sectorIndex(victim.line_addr));
-        if (sector == nullptr)
-            continue;
-        for (size_t i = 0; i < config_.sector_lines; ++i) {
-            if ((*sector)[i] == kEmptySlot)
+        uint32_t *const slots = slots_.data() + firstSlot(victim.entry);
+        for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+            if (slots[i] == kEmptySlot)
                 continue;
             entries.push_back(SncEntry{
-                victim.line_addr + i * config_.l2_line_size,
-                (*sector)[i]});
+                victim.line_addr + uint64_t{i} * config_.l2_line_size,
+                slots[i]});
+            slots[i] = kEmptySlot;
         }
     }
-    sectors_.clear();
-    sector_arena_.clear();
     occupancy_ = 0;
     return entries;
 }

@@ -22,11 +22,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mem/cache.hh"
-#include "util/page_arena.hh"
-#include "util/radix_array.hh"
 #include "util/stats.hh"
 
 namespace secproc::secure
@@ -91,23 +90,29 @@ struct SncEntry
     uint32_t seqnum = 0;
 };
 
-/** Result of installing an entry (query- or update-miss fill). */
+/**
+ * Result of installing an entry (query- or update-miss fill).
+ *
+ * The spans view scratch buffers owned by the SequenceNumberCache, so
+ * an install allocates nothing; they stay valid until that cache's
+ * next install().
+ */
 struct SncInstall
 {
-    bool installed = false;     ///< false only under no-replacement
-    bool victim_valid = false;  ///< at least one entry was displaced
-    uint64_t victim_line = 0;   ///< first displaced line's address
-    uint32_t victim_seqnum = 0; ///< its sequence number (to spill)
+    bool installed = false; ///< false only under no-replacement
 
-    /** Every displaced entry (== 1 unless the SNC is sectored). */
-    std::vector<SncEntry> victims;
+    /**
+     * Every displaced entry, to spill (at most one unless the SNC is
+     * sectored), in slot order.
+     */
+    std::span<const SncEntry> victims;
 
     /**
      * Sectored only: the other L2 lines of the newly allocated
      * sector. The engine populates the ones it has sequence numbers
      * for (the sector fetch brings them from memory together).
      */
-    std::vector<uint64_t> cofetched;
+    std::span<const uint64_t> cofetched;
 };
 
 /**
@@ -143,7 +148,8 @@ class SequenceNumberCache
      * Install a (line, seqnum) pair, displacing a victim sector if
      * needed. Under the no-replacement policy the install is refused
      * when the set is full. Populating a slot of an already-resident
-     * sector never displaces anything.
+     * sector never displaces anything. The result's spans are valid
+     * until the next install().
      */
     SncInstall install(uint64_t line_va, uint32_t seqnum);
 
@@ -182,30 +188,38 @@ class SequenceNumberCache
     static constexpr uint32_t kEmptySlot = ~uint32_t{0};
 
     SncConfig config_;
+    /** Tag directory: one entry per sector, keyed by sector span. */
     mem::Cache cache_;
+    /** log2 of the L2 line size and mask of the sector span. */
+    unsigned line_shift_;
+    uint64_t span_mask_;
 
     /**
-     * Sector index (sector base / sector span) -> per-line slot
-     * table (kEmptySlot = none). Slot tables are fixed-size arena
-     * blocks behind a radix directory: the install/spill churn of a
-     * write-heavy workload used to allocate and free one heap
-     * vector per sector.
+     * Sequence-number slots, sector_lines per directory entry:
+     * entry e's line i lives at slots_[e * sector_lines + i]
+     * (kEmptySlot = none). The directory reports the entry of every
+     * hit, fill and flush victim, so each operation costs one
+     * directory probe plus one array access.
      */
-    util::RadixArray<uint32_t *> sectors_;
-    util::PageArena sector_arena_;
+    std::vector<uint32_t> slots_;
     uint64_t occupancy_ = 0;
 
-    /** Sector base address containing @p line_va. */
-    uint64_t sectorBase(uint64_t line_va) const;
+    /** install()'s result buffers, sized once at construction. @{ */
+    std::vector<SncEntry> victim_buf_;
+    std::vector<uint64_t> cofetch_buf_;
+    /** @} */
 
-    /** Radix key of the sector containing @p line_va. */
-    uint64_t sectorIndex(uint64_t line_va) const;
+    /** Index in slots_ of directory entry @p entry's first slot. */
+    size_t firstSlot(uint32_t entry) const
+    {
+        return size_t{entry} * config_.sector_lines;
+    }
 
     /** Slot index of @p line_va within its sector. */
-    size_t slotIndex(uint64_t line_va) const;
-
-    /** The resident slot for @p line_va, or nullptr. */
-    uint32_t *slotFor(uint64_t line_va);
+    size_t slotIndex(uint64_t line_va) const
+    {
+        return (line_va & span_mask_) >> line_shift_;
+    }
 
     util::Counter query_hits_;
     util::Counter query_misses_;

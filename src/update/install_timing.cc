@@ -8,21 +8,13 @@
 #include <algorithm>
 
 #include "update/update_engine.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::update
 {
 
-namespace
-{
-
-uint64_t
-ceilDiv(uint64_t value, uint64_t unit)
-{
-    return (value + unit - 1) / unit;
-}
-
-} // namespace
+using util::ceilDiv;
 
 const char *
 installPacingName(InstallPacing pacing)

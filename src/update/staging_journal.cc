@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/serialize.hh"
 
@@ -44,9 +45,8 @@ StagingJournal::begin(uint32_t slot, const Digest &digest,
 {
     panic_if(chunk_bytes == 0, "staging journal chunk size 0");
     SlotRecord *rec = record(slot);
-    const uint64_t chunks =
-        (total_bytes + chunk_bytes - 1) / chunk_bytes;
-    const uint64_t bitmap_bytes = (chunks + 7) / 8;
+    const uint64_t bitmap_bytes =
+        util::ceilDiv(util::ceilDiv(total_bytes, chunk_bytes), 8);
     if (rec->valid && rec->digest == digest &&
         rec->total_bytes == total_bytes &&
         rec->chunk_bytes == chunk_bytes)
@@ -84,8 +84,7 @@ StagingJournal::chunkCount(uint32_t slot) const
     const SlotRecord *rec = record(slot);
     if (!rec->valid)
         return 0;
-    return (rec->total_bytes + rec->chunk_bytes - 1) /
-           rec->chunk_bytes;
+    return util::ceilDiv(rec->total_bytes, rec->chunk_bytes);
 }
 
 uint64_t
@@ -166,9 +165,8 @@ StagingJournal::deserialize(const std::vector<uint8_t> &data)
         // reject geometry that doesn't agree with itself.
         if (rec.chunk_bytes == 0)
             return std::nullopt;
-        const uint64_t chunks =
-            (rec.total_bytes + rec.chunk_bytes - 1) / rec.chunk_bytes;
-        const uint64_t bitmap_bytes = (chunks + 7) / 8;
+        const uint64_t bitmap_bytes = util::ceilDiv(
+            util::ceilDiv(rec.total_bytes, rec.chunk_bytes), 8);
         if (bitmap_bytes > kMaxBitmapBytes ||
             rec.bitmap.size() != bitmap_bytes)
             return std::nullopt;

@@ -37,6 +37,17 @@ ceilLog2(uint64_t v)
     return v <= 1 ? 0u : floorLog2(v - 1) + 1;
 }
 
+/**
+ * ceil(@p value / @p unit) for @p unit > 0, without the wrap of the
+ * (value + unit - 1) / unit idiom near 2^64 (sizes parsed from
+ * untrusted bytes reach there).
+ */
+constexpr uint64_t
+ceilDiv(uint64_t value, uint64_t unit)
+{
+    return value / unit + (value % unit != 0);
+}
+
 /** Round @p v down to a multiple of power-of-two @p align. */
 constexpr uint64_t
 alignDown(uint64_t v, uint64_t align)

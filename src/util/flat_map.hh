@@ -1,17 +1,18 @@
 /**
  * @file
- * Open-addressing hash map for the simulator's hot uint64-keyed
- * tables (cache directories, sequence-number tables, line-state
- * maps, SNC sectors).
+ * Open-addressing hash map for the simulator's hot tables keyed by
+ * scattered uint64 values: the OTP engine's pad-prediction buffer and
+ * pad memo, both keyed by pad seed. Tables keyed by line or page
+ * index (cache directories, sequence-number and line-state tables)
+ * use util::RadixArray instead, whose groups keep sequential runs
+ * together.
  *
  * std::unordered_map's node allocation and pointer chasing dominate
- * the profile once the crypto substrate is fast: every simulated
- * memory access walks the L1/L2 directory and the protection
- * engine's line-state and seqnum tables. This map stores slots
- * inline in one contiguous array with linear probing, a strong
- * multiplicative mix (line addresses have zero low bits), and
+ * the profile once the crypto substrate is fast. This map stores
+ * slots inline in one contiguous array with linear probing, a strong
+ * multiplicative mix (keys may have structured low bits), and
  * Knuth-style backward-shift deletion so no tombstones accumulate
- * under the install workloads' heavy insert/erase churn.
+ * under heavy insert/erase churn.
  *
  * Deliberately minimal: uint64_t keys only, no iterators (none of
  * the simulator's tables are iterated — lookups, inserts and erases

@@ -1,8 +1,8 @@
 /**
  * @file
- * Two-level radix-indexed array for the memory plane's page-granular
- * tables (main-memory page directory, per-ASID page tables, MAC and
- * line-state tables).
+ * Two-level radix-indexed array for the memory plane's page- and
+ * line-granular tables (main-memory page directory, per-ASID page
+ * tables, MAC and line-state tables, wide cache directories).
  *
  * These tables are keyed by page/line indices that arrive in long
  * sequential runs (program footprints, install streams), which an

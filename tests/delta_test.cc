@@ -24,6 +24,7 @@
 #include "update/live_install.hh"
 #include "update/staging_journal.hh"
 #include "update/update_engine.hh"
+#include "util/serialize.hh"
 
 namespace
 {
@@ -434,6 +435,39 @@ TEST(StagingJournal, ResumeKeepsOnlyMatchingRecords)
     journal.clear(1);
     EXPECT_FALSE(journal.active(1));
     EXPECT_TRUE(journal.active(0));
+}
+
+TEST(StagingJournal, RejectsGeometryWhoseChunkCountWraps)
+{
+    // An active slot-0 record with an empty bitmap, as untrusted NVRAM
+    // could hold it; slot 1 is inactive.
+    const auto journal_bytes = [](uint64_t total_bytes,
+                                  uint32_t chunk_bytes) {
+        std::vector<uint8_t> out;
+        util::putU32(out, 0x53504A4C); // "SPJL"
+        util::putU32(out, 1);          // version
+        util::putU32(out, 2);          // slots
+        util::putU32(out, 1);          // slot 0 active
+        util::putArray(out, Digest{});
+        util::putU64(out, total_bytes);
+        util::putU32(out, chunk_bytes);
+        util::putBlob(out, {});
+        util::putU32(out, 0); // slot 1 inactive
+        util::putArray(out, Digest{});
+        util::putU64(out, 0);
+        util::putU32(out, 0);
+        util::putBlob(out, {});
+        return out;
+    };
+    // The layout is the real one: an empty payload parses.
+    EXPECT_TRUE(StagingJournal::deserialize(journal_bytes(0, 2)));
+
+    // 2^64 - 1 bytes claim 2^63 chunks at 2 bytes each, 2^64 - 1
+    // chunks at 1 byte each; a wrapping ceil-divide made either count
+    // look like zero chunks, which matches the empty bitmap.
+    const uint64_t huge = ~uint64_t{0};
+    EXPECT_FALSE(StagingJournal::deserialize(journal_bytes(huge, 2)));
+    EXPECT_FALSE(StagingJournal::deserialize(journal_bytes(huge, 1)));
 }
 
 // ------------------------------------------------------ cycle plane

@@ -22,6 +22,7 @@
 #include "mem/main_memory.hh"
 #include "mem/virtual_memory.hh"
 #include "secure/integrity.hh"
+#include "util/bitops.hh"
 #include "util/radix_array.hh"
 #include "util/random.hh"
 
@@ -34,6 +35,36 @@ using mem::MainMemory;
 using mem::Region;
 using mem::RegionKind;
 using mem::VirtualMemory;
+
+/**
+ * Key of the retired (asid, vpn) unordered_map page-table layout, for
+ * the reference model below. @{
+ */
+struct PageKey
+{
+    Asid asid;
+    uint64_t vpn;
+    bool operator==(const PageKey &o) const
+    {
+        return asid == o.asid && vpn == o.vpn;
+    }
+};
+
+struct PageKeyHash
+{
+    size_t
+    operator()(const PageKey &k) const
+    {
+        // mix64 is bijective, so collisions can only come from
+        // combining the parts — mixing *between* them keeps the pair
+        // injective up to finalizer collisions, unlike the old
+        // `(asid << 48) ^ vpn` packing which collided for any vpn
+        // with bits >= 48 (high mmap-style VAs).
+        return static_cast<size_t>(util::mix64(
+            util::mix64(k.vpn) + static_cast<uint64_t>(k.asid)));
+    }
+};
+/** @} */
 
 /**
  * Index generator covering the patterns that broke (or would break)
@@ -177,8 +208,7 @@ TEST(MainMemoryDifferential, RandomReadWriteMatchesByteMap)
 
 TEST(PageKeyHash, OldPackingCollidesNewMixDoesNot)
 {
-    using PageKey = VirtualMemory::PageKey;
-    const VirtualMemory::PageKeyHash hash;
+    const PageKeyHash hash;
 
     // The retired hash packed the pair as (asid << 48) ^ vpn, which
     // collides whenever two keys differ only in vpn bits >= 48 that
@@ -223,9 +253,7 @@ TEST(PageKeyHash, OldPackingCollidesNewMixDoesNot)
  */
 struct ReferenceVm
 {
-    using PageKey = VirtualMemory::PageKey;
-    std::unordered_map<PageKey, uint64_t, VirtualMemory::PageKeyHash>
-        frames;
+    std::unordered_map<PageKey, uint64_t, PageKeyHash> frames;
     uint64_t next_frame = 1;
 
     uint64_t
@@ -329,8 +357,7 @@ TEST(VirtualMemoryDifferential, ProbeNeverAllocates)
                       reference.translate(asid, vaddr));
         } else {
             const auto got = vm.probeTranslate(asid, vaddr);
-            const auto key = VirtualMemory::PageKey{
-                asid, vaddr / VirtualMemory::kPageSize};
+            const PageKey key{asid, vaddr / VirtualMemory::kPageSize};
             const auto it = reference.frames.find(key);
             ASSERT_EQ(got.has_value(), it != reference.frames.end());
             if (got.has_value()) {

@@ -58,7 +58,7 @@ TEST(Snc, QueryMissThenInstallThenHit)
     EXPECT_EQ(snc.queryMisses(), 1u);
     const auto install = snc.install(0x1000, 5);
     EXPECT_TRUE(install.installed);
-    EXPECT_FALSE(install.victim_valid);
+    EXPECT_TRUE(install.victims.empty());
     const auto seqnum = snc.query(0x1000);
     ASSERT_TRUE(seqnum.has_value());
     EXPECT_EQ(*seqnum, 5u);
@@ -91,9 +91,9 @@ TEST(Snc, LruSpillsVictim)
     snc.query(0);
     const auto install = snc.install(100 * kLine, 42);
     EXPECT_TRUE(install.installed);
-    ASSERT_TRUE(install.victim_valid);
-    EXPECT_EQ(install.victim_line, 1u * kLine);
-    EXPECT_EQ(install.victim_seqnum, 1u);
+    ASSERT_EQ(install.victims.size(), 1u);
+    EXPECT_EQ(install.victims[0].line_va, 1u * kLine);
+    EXPECT_EQ(install.victims[0].seqnum, 1u);
     EXPECT_EQ(snc.spills(), 1u);
 }
 
@@ -139,13 +139,13 @@ TEST(Snc, SetAssociativeConflicts)
     snc.install(1 * 4 * kLine, 2);
     const auto install = snc.install(2 * 4 * kLine, 3);
     EXPECT_TRUE(install.installed);
-    EXPECT_TRUE(install.victim_valid)
+    EXPECT_FALSE(install.victims.empty())
         << "conflict in a 2-way set must spill";
     // A fully associative SNC with the same pattern has no victim.
     SequenceNumberCache full(tinySnc(/*lru=*/true, /*assoc=*/0));
     full.install(0 * 4 * kLine, 1);
     full.install(1 * 4 * kLine, 2);
-    EXPECT_FALSE(full.install(2 * 4 * kLine, 3).victim_valid);
+    EXPECT_TRUE(full.install(2 * 4 * kLine, 3).victims.empty());
 }
 
 // -------------------------------------------------------------- key table

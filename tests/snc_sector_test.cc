@@ -2,14 +2,57 @@
  * @file
  * Sectored Sequence Number Cache tests: one directory tag covering
  * several consecutive L2 lines' sequence numbers (tag-area saving +
- * spatial prefetch), including the engine-level cofetch behaviour.
+ * spatial prefetch), including the engine-level cofetch behaviour;
+ * a differential suite against a reference model across directory
+ * shapes and policies; and the allocation-free install path.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <list>
+#include <map>
+#include <new>
+#include <tuple>
+
 #include "mem/memory_channel.hh"
 #include "secure/engines.hh"
 #include "secure/snc.hh"
+#include "util/random.hh"
+
+namespace
+{
+
+/** Heap allocations made through global operator new. */
+std::atomic<uint64_t> g_allocations{0};
+
+} // namespace
+
+// The replacements stay out of line: inlined, the compiler pairs the
+// malloc() and free() inside them with new and delete call sites and
+// warns about mismatched allocation functions.
+
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -93,7 +136,6 @@ TEST(SncSector, SecondInstallInSectorDisplacesNothing)
     snc.install(0x1000, 7);
     const auto install = snc.install(0x1080, 9);
     EXPECT_TRUE(install.installed);
-    EXPECT_FALSE(install.victim_valid);
     EXPECT_TRUE(install.victims.empty());
     EXPECT_TRUE(install.cofetched.empty());
 }
@@ -239,5 +281,344 @@ INSTANTIATE_TEST_SUITE_P(SectorSizes, SectoredEngine,
                              return "lines" +
                                     std::to_string(info.param);
                          });
+
+// ------------------------------------------------ differential suite
+
+/**
+ * Reference SNC written for clarity: per-set recency lists of
+ * directory entries (front = MRU) plus a line -> sequence-number slot
+ * map. Entries are numbered set * ways + way and handed out like
+ * mem::Cache's (a set's free entries first, lowest way first; a
+ * victim's entry goes to its replacement), so flush order compares.
+ */
+class ReferenceSnc
+{
+  public:
+    struct Install
+    {
+        bool installed = false;
+        std::vector<SncEntry> victims;
+        std::vector<uint64_t> cofetched;
+    };
+
+    explicit ReferenceSnc(const SncConfig &config)
+        : config_(config),
+          ways_(config.assoc == 0 ? config.sectors() : config.assoc),
+          tags_(config.sectors())
+    {
+        sets_.resize(config.sectors() / ways_);
+        for (uint64_t set = 0; set < sets_.size(); ++set) {
+            for (uint64_t way = 0; way < ways_; ++way)
+                sets_[set].push_front(
+                    static_cast<uint32_t>(set * ways_ + way));
+        }
+    }
+
+    std::optional<uint32_t>
+    query(uint64_t line)
+    {
+        const std::optional<uint32_t> seqnum =
+            touch(line) ? slot(line) : std::nullopt;
+        ++(seqnum ? query_hits : query_misses);
+        return seqnum;
+    }
+
+    /** Only resident sectors' lines are ever in the slot map. */
+    std::optional<uint32_t> peek(uint64_t line) const { return slot(line); }
+
+    std::optional<uint32_t>
+    increment(uint64_t line)
+    {
+        if (!touch(line) || !slots_.count(line)) {
+            ++update_misses;
+            return std::nullopt;
+        }
+        ++update_hits;
+        uint32_t &seqnum = slots_[line];
+        if (seqnum >= config_.maxSeqnum()) {
+            ++overflows;
+            seqnum = 1;
+        } else {
+            ++seqnum;
+        }
+        return seqnum;
+    }
+
+    Install
+    install(uint64_t line, uint32_t seqnum)
+    {
+        Install result;
+        if (touch(line)) {
+            slots_[line] = seqnum;
+            result.installed = true;
+            return result;
+        }
+        std::list<uint32_t> &set = setOf(line);
+        const uint32_t entry = set.back();
+        if (tags_[entry].has_value()) {
+            if (!config_.allow_replacement) {
+                ++rejected;
+                return result;
+            }
+            const uint64_t base = *tags_[entry] * config_.sectorSpan();
+            for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+                const uint64_t other = base + i * config_.l2_line_size;
+                if (const auto it = slots_.find(other);
+                    it != slots_.end()) {
+                    result.victims.push_back({other, it->second});
+                    slots_.erase(it);
+                    ++spills;
+                }
+            }
+        }
+        tags_[entry] = line / config_.sectorSpan();
+        set.splice(set.begin(), set, std::prev(set.end()));
+        slots_[line] = seqnum;
+        result.installed = true;
+        const uint64_t base =
+            line / config_.sectorSpan() * config_.sectorSpan();
+        for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+            const uint64_t other = base + i * config_.l2_line_size;
+            if (other != line)
+                result.cofetched.push_back(other);
+        }
+        return result;
+    }
+
+    bool
+    setEntry(uint64_t line, uint32_t seqnum)
+    {
+        if (find(line) == setOf(line).end())
+            return false;
+        slots_[line] = seqnum;
+        return true;
+    }
+
+    std::vector<SncEntry>
+    flush()
+    {
+        std::vector<SncEntry> entries;
+        for (std::optional<uint64_t> &tag : tags_) {
+            if (!tag.has_value())
+                continue;
+            for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+                const uint64_t line = *tag * config_.sectorSpan() +
+                                      i * config_.l2_line_size;
+                if (const auto it = slots_.find(line);
+                    it != slots_.end())
+                    entries.push_back({line, it->second});
+            }
+            tag.reset();
+        }
+        slots_.clear();
+        return entries;
+    }
+
+    uint64_t occupancy() const { return slots_.size(); }
+
+    uint64_t
+    sectorOccupancy() const
+    {
+        return static_cast<uint64_t>(
+            std::count_if(tags_.begin(), tags_.end(),
+                          [](const auto &tag) { return tag.has_value(); }));
+    }
+
+    uint64_t query_hits = 0;
+    uint64_t query_misses = 0;
+    uint64_t update_hits = 0;
+    uint64_t update_misses = 0;
+    uint64_t spills = 0;
+    uint64_t rejected = 0;
+    uint64_t overflows = 0;
+
+  private:
+    std::list<uint32_t> &
+    setOf(uint64_t line)
+    {
+        return sets_[line / config_.sectorSpan() % sets_.size()];
+    }
+
+    const std::list<uint32_t> &
+    setOf(uint64_t line) const
+    {
+        return sets_[line / config_.sectorSpan() % sets_.size()];
+    }
+
+    /** The entry holding @p line's sector, or its set's end(). */
+    std::list<uint32_t>::const_iterator
+    find(uint64_t line) const
+    {
+        const std::list<uint32_t> &set = setOf(line);
+        return std::find_if(set.begin(), set.end(), [&](uint32_t e) {
+            return tags_[e] == line / config_.sectorSpan();
+        });
+    }
+
+    /** Refresh the recency of @p line's sector if it is resident. */
+    bool
+    touch(uint64_t line)
+    {
+        std::list<uint32_t> &set = setOf(line);
+        const auto it = find(line);
+        if (it == set.end())
+            return false;
+        set.splice(set.begin(), set, it);
+        return true;
+    }
+
+    std::optional<uint32_t>
+    slot(uint64_t line) const
+    {
+        const auto it = slots_.find(line);
+        return it == slots_.end() ? std::nullopt
+                                  : std::optional<uint32_t>{it->second};
+    }
+
+    SncConfig config_;
+    uint64_t ways_;
+    std::vector<std::list<uint32_t>> sets_;
+    /** Sector number held by each entry. */
+    std::vector<std::optional<uint64_t>> tags_;
+    std::map<uint64_t, uint32_t> slots_;
+};
+
+/** (associativity, LRU replacement, sector_lines). */
+using SncShape = std::tuple<uint32_t, bool, uint32_t>;
+
+class SncDifferential : public ::testing::TestWithParam<SncShape>
+{};
+
+void
+expectSameEntries(const std::vector<SncEntry> &got,
+                  const std::vector<SncEntry> &want, int op)
+{
+    ASSERT_EQ(got.size(), want.size()) << "op " << op;
+    for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].line_va, want[i].line_va) << "op " << op;
+        ASSERT_EQ(got[i].seqnum, want[i].seqnum) << "op " << op;
+    }
+}
+
+TEST_P(SncDifferential, RandomStreamMatchesReference)
+{
+    const auto [assoc, lru, sector_lines] = GetParam();
+    SncConfig config;
+    config.capacity_bytes = 256; // 256 one-byte entries
+    config.bytes_per_entry = 1;  // seqnums wrap at 255: overflows
+    config.assoc = assoc;
+    config.allow_replacement = lru;
+    config.l2_line_size = 128;
+    config.sector_lines = sector_lines;
+    SequenceNumberCache snc(config);
+    ReferenceSnc reference(config);
+
+    util::Rng rng(0x5AC0 + assoc * 16 + lru * 4 + sector_lines);
+    // Three capacities of lines, a hot quarter of them drawn more
+    // often, half at a high base (the radix directory's overflow
+    // range, where the SNC's history filler lives).
+    const auto random_line = [&rng]() -> uint64_t {
+        const uint64_t base = rng.nextRange(2) == 0
+                                  ? 0x1000'0000ull
+                                  : 0x7F00'0000'0000ull;
+        const uint64_t lines = rng.nextRange(2) == 0 ? 192 : 768;
+        return base + rng.nextRange(lines) * 128;
+    };
+
+    for (int op = 0; op < 40'000; ++op) {
+        const uint64_t line = random_line();
+        const uint32_t seqnum =
+            static_cast<uint32_t>(rng.nextRange(300));
+        const uint64_t kind = rng.nextRange(10'000);
+        if (kind < 2500) {
+            ASSERT_EQ(snc.query(line), reference.query(line))
+                << "op " << op;
+        } else if (kind < 4500) {
+            ASSERT_EQ(snc.increment(line), reference.increment(line))
+                << "op " << op;
+        } else if (kind < 7000) {
+            const SncInstall got = snc.install(line, seqnum);
+            const ReferenceSnc::Install want =
+                reference.install(line, seqnum);
+            ASSERT_EQ(got.installed, want.installed) << "op " << op;
+            expectSameEntries({got.victims.begin(), got.victims.end()},
+                              want.victims, op);
+            ASSERT_EQ(std::vector<uint64_t>(got.cofetched.begin(),
+                                            got.cofetched.end()),
+                      want.cofetched)
+                << "op " << op;
+        } else if (kind < 8000) {
+            ASSERT_EQ(snc.setEntry(line, seqnum),
+                      reference.setEntry(line, seqnum))
+                << "op " << op;
+        } else if (kind < 9998) {
+            ASSERT_EQ(snc.peek(line), reference.peek(line))
+                << "op " << op;
+            ASSERT_EQ(snc.contains(line),
+                      reference.peek(line).has_value())
+                << "op " << op;
+        } else { // about eight flushes per stream
+            expectSameEntries(snc.flush(), reference.flush(), op);
+        }
+        ASSERT_EQ(snc.occupancy(), reference.occupancy()) << "op " << op;
+        ASSERT_EQ(snc.sectorOccupancy(), reference.sectorOccupancy())
+            << "op " << op;
+        ASSERT_EQ(snc.queryHits(), reference.query_hits) << "op " << op;
+        ASSERT_EQ(snc.queryMisses(), reference.query_misses)
+            << "op " << op;
+        ASSERT_EQ(snc.updateHits(), reference.update_hits) << "op " << op;
+        ASSERT_EQ(snc.updateMisses(), reference.update_misses)
+            << "op " << op;
+        ASSERT_EQ(snc.spills(), reference.spills) << "op " << op;
+        ASSERT_EQ(snc.rejectedInstalls(), reference.rejected)
+            << "op " << op;
+        ASSERT_EQ(snc.overflows(), reference.overflows) << "op " << op;
+    }
+    // The stream must have reached every behaviour it checks.
+    EXPECT_GT(reference.query_hits, 0u);
+    EXPECT_GT(reference.update_hits, 0u);
+    EXPECT_GT(reference.overflows, 0u);
+    EXPECT_GT(lru ? reference.spills : reference.rejected, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SncDifferential,
+    ::testing::Combine(::testing::Values(0u, 32u),
+                       ::testing::Bool(),
+                       ::testing::Values(1u, 4u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) == 0 ? "full"
+                                                        : "way32") +
+               (std::get<1>(info.param) ? "_lru" : "_norepl") +
+               "_lines" + std::to_string(std::get<2>(info.param));
+    });
+
+// ------------------------------------------------------- allocations
+
+TEST(SncAllocation, PaperGeometryInstallsAllocateNothing)
+{
+    SncConfig config; // 32K entries, fully associative, LRU
+    SequenceNumberCache snc(config);
+    const uint64_t lines = 2 * config.entries();
+    const auto line_va = [](uint64_t i) {
+        return 0x1000'0000ull + i * 128;
+    };
+    // First pass: fills the SNC, then thrashes it, so the directory
+    // has seen every line the timed pass touches.
+    for (uint64_t i = 0; i < lines; ++i)
+        snc.install(line_va(i), static_cast<uint32_t>(i));
+
+    const uint64_t before = g_allocations.load();
+    uint64_t spilled = 0;
+    for (uint64_t i = 0; i < lines; ++i) {
+        const uint64_t line = line_va(i);
+        spilled += snc.install(line, 1).victims.size();
+        snc.increment(line);
+        snc.query(line);
+    }
+    const uint64_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(spilled, lines);
+}
 
 } // namespace
