@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::fleet
@@ -138,64 +139,31 @@ deviceTraits(uint64_t fleet_seed, uint64_t device_id,
     return traits;
 }
 
-DownloadSim
-simulateDownload(const ota::TransportConfig &config,
-                 uint64_t payload_bytes, uint64_t start_cycle)
-{
-    fatal_if(config.chunk_bytes == 0 || config.cycles_per_chunk == 0,
-             "download model needs a chunked, rate-capped link");
-
-    // Draw-for-draw replica of ota::Transport::send()'s schedule
-    // computation. Arrival cycles depend only on a chunk's position
-    // within its pass, never on its offset, so the work list
-    // degenerates to a count; the completion cycle is the maximum
-    // arrival, which is exactly Transport::completionCycle().
-    util::Rng rng(config.seed);
-    DownloadSim sim;
-    uint64_t todo =
-        (payload_bytes + config.chunk_bytes - 1) / config.chunk_bytes;
-    uint64_t clock = start_cycle;
-    constexpr uint64_t kMaxPasses = 10'000;
-    uint64_t passes = 0;
-    while (todo != 0) {
-        fatal_if(++passes > kMaxPasses,
-                 "download model retransmitted the same payload ",
-                 kMaxPasses, " times; loss model is stuck");
-        uint64_t lost = 0;
-        uint64_t burst_remaining = 0;
-        for (uint64_t i = 0; i < todo; ++i) {
-            clock += config.cycles_per_chunk;
-            ++sim.chunks_sent;
-            if (burst_remaining == 0 && rng.chance(config.loss_rate)) {
-                burst_remaining =
-                    1 + rng.nextGeometric(1.0 / config.burst_length);
-            }
-            if (burst_remaining > 0) {
-                --burst_remaining;
-                ++sim.chunks_lost;
-                ++lost;
-                continue;
-            }
-            uint64_t arrival = clock;
-            if (config.reorder_rate > 0.0 &&
-                rng.chance(config.reorder_rate)) {
-                const uint64_t jitter =
-                    1 + rng.nextRange(std::max(
-                            config.reorder_window, 1u));
-                arrival += jitter * config.cycles_per_chunk;
-            }
-            sim.completion_cycle =
-                std::max(sim.completion_cycle, arrival);
-        }
-        todo = lost;
-        clock += config.retransmit_delay;
-    }
-    sim.retransmit_passes = passes == 0 ? 0 : passes - 1;
-    return sim;
-}
-
 namespace
 {
+
+/** The one OTA schedule's visitor for a lightweight download: only
+ *  the latest arrival matters (Transport::completionCycle()). */
+struct LatestArrival
+{
+    uint64_t cycle = 0;
+
+    void arrive(uint64_t, uint64_t at) { cycle = std::max(cycle, at); }
+    void lose(uint64_t, uint64_t) {}
+    void endPass(uint64_t, uint64_t) {}
+};
+
+/** Cycles from dispatch until the last chunk of a @p framed_bytes
+ *  stream arrives over @p link. */
+uint64_t
+downloadCycles(const ota::TransportConfig &link, uint64_t framed_bytes)
+{
+    LatestArrival last;
+    ota::scheduleArrivals(link, util::ceilDiv(framed_bytes,
+                                              link.chunk_bytes),
+                          0, last);
+    return last.cycle;
+}
 
 /** One attempt's cycles: download overlapped against the (possibly
  *  contended) admission read, then the stretched pipeline tail. */
@@ -233,10 +201,8 @@ simulateInstall(const DeviceTraits &traits,
         ota::TransportConfig link = transport;
         if (attempt > 0)
             link.seed = mixSeed(transport.seed, attempt);
-        const uint64_t download =
-            simulateDownload(link, framed_bytes, 0).completion_cycle;
-        const uint64_t cycles =
-            attemptCycles(cost, factor, download);
+        const uint64_t cycles = attemptCycles(
+            cost, factor, downloadCycles(link, framed_bytes));
         if (attempt < kMaxRetries &&
             rng.chance(traits.power_cut_rate)) {
             // Conservative recovery model: the cut lands uniformly
@@ -257,9 +223,8 @@ predictCleanInstallCycles(const InstallCostModel &cost,
                           const ota::TransportConfig &transport,
                           uint64_t framed_bytes)
 {
-    const uint64_t download =
-        simulateDownload(transport, framed_bytes, 0).completion_cycle;
-    return attemptCycles(cost, 1.0, download);
+    return attemptCycles(cost, 1.0,
+                         downloadCycles(transport, framed_bytes));
 }
 
 } // namespace secproc::fleet

@@ -12,16 +12,17 @@
  * *state* (active image version, health), and the cycle cost of one
  * install is predicted from
  *
- *  - an exact replica of ota::Transport's arrival-schedule
- *    computation (same RNG draw sequence, no byte movement), so a
- *    lightweight download completes on exactly the cycle the full
- *    transport model would deliver its last chunk; and
+ *  - ota::scheduleArrivals, the routine ota::Transport itself
+ *    schedules with, run with a visitor that keeps only the latest
+ *    arrival (no payload bytes, no allocation), so a lightweight
+ *    download completes on exactly the cycle the full transport
+ *    model delivers its last chunk; and
  *  - an InstallCostModel calibrated per (release, engine-latency
- *    class) by replaying the real bundle through
- *    update::InstallTiming once (vendor.hh does the calibration),
- *    with the admission read overlapped against the download and
- *    the post-admission pipeline stretched by the device's workload
- *    contention factor.
+ *    class) by replaying the real bundle's plan through the one
+ *    install pipeline, update::InstallTiming, on an idle channel and
+ *    engine (vendor.hh does the calibration), with the admission
+ *    read overlapped against the download and the post-admission
+ *    pipeline stretched by the device's workload contention factor.
  *
  * A handful of full update::LiveInstall devices embedded in the
  * population (rollout.hh) pin this prediction to the unified-plane
@@ -169,7 +170,7 @@ struct DeviceState
 /**
  * Calibrated cycle cost of one clean, uncontended install of a
  * release on one engine-latency class (from a standalone
- * update::InstallTiming replay of the real bundle).
+ * update::InstallTiming replay of the real bundle's plan).
  */
 struct InstallCostModel
 {
@@ -190,29 +191,6 @@ struct InstallCostModel
                post_admission_cycles;
     }
 };
-
-/** What one lightweight download simulation produced. */
-struct DownloadSim
-{
-    /** Cycle the last payload chunk arrives (== the cycle
-     *  ota::Transport::completionCycle() would report). */
-    uint64_t completion_cycle = 0;
-
-    uint64_t chunks_sent = 0;
-    uint64_t chunks_lost = 0;
-    uint64_t retransmit_passes = 0;
-};
-
-/**
- * Replay ota::Transport's arrival-schedule computation for a
- * @p payload_bytes payload starting at @p start_cycle — the same
- * RNG draw sequence send() performs, without materializing payload
- * bytes or the schedule. Exactness is asserted by
- * tests/fleet_test.cc against the real Transport.
- */
-DownloadSim simulateDownload(const ota::TransportConfig &config,
-                             uint64_t payload_bytes,
-                             uint64_t start_cycle);
 
 /** Outcome of one device's install attempt chain. */
 struct InstallSim

@@ -14,6 +14,7 @@
 #include "update/live_install.hh"
 #include "update/rollback_store.hh"
 #include "update/update_engine.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::fleet
@@ -285,8 +286,7 @@ FleetSimulator::registerMetrics(obs::MetricsRegistry &reg)
 void
 FleetSimulator::buildPopulation()
 {
-    const uint64_t per =
-        (config_.devices + config_.shards - 1) / config_.shards;
+    const uint64_t per = util::ceilDiv(config_.devices, config_.shards);
 
     struct ShardOut
     {
@@ -358,8 +358,7 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
     };
     std::vector<ShardOut> shards(config_.shards);
 
-    const uint64_t per =
-        (members.size() + config_.shards - 1) / config_.shards;
+    const uint64_t per = util::ceilDiv(members.size(), config_.shards);
 
     runner_.forEach(config_.shards, [&](size_t s) {
         const size_t begin = s * per;
@@ -600,7 +599,7 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
                      "ground-truth base release refused to stage");
             const update::InstallResult activated = updater.activate(
                 1, system.mainMemory(), system.virtualMemory(),
-                live_config.asid, system.engine());
+                update::kLiveImageAsid, system.engine());
             fatal_if(!activated.ok(),
                      "ground-truth base release refused to activate");
             gt.predicted_cycles = predictCleanInstallCycles(

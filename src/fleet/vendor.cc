@@ -9,9 +9,9 @@
 
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
-#include "obs/metrics.hh"
 #include "update/install_timing.hh"
 #include "update/update_engine.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "xom/vendor_tool.hh"
 
@@ -84,7 +84,7 @@ makeProgram(uint64_t vendor_seed, uint32_t payload_version,
     for (auto &byte : text.bytes)
         byte = static_cast<uint8_t>(fill.nextRange(256));
 
-    const uint64_t blocks = (image_bytes + kBlock - 1) / kBlock;
+    const uint64_t blocks = util::ceilDiv(image_bytes, kBlock);
     const auto changed = static_cast<uint64_t>(
         static_cast<double>(blocks) * change_fraction);
     for (uint32_t gen = 2; gen <= payload_version; ++gen) {
@@ -105,12 +105,12 @@ makeProgram(uint64_t vendor_seed, uint32_t payload_version,
 }
 
 /**
- * Replay @p bundle through a standalone fixed-pace InstallTiming on
- * an otherwise idle machine with an @p engine_latency crypto engine,
- * and split the measured cycles into the lightweight cost model's
- * three stages. This is the one place the fleet touches the real
- * cycle plane per (release, engine class) — every lightweight device
- * reuses the result.
+ * Replay @p plan through the install pipeline, fixed-paced on an
+ * otherwise idle channel and @p engine_latency crypto engine (no
+ * machine around them), and split the measured cycles into the
+ * lightweight cost model's three stages. This is the one place the
+ * fleet touches the real cycle plane per (release, engine class) —
+ * every lightweight device reuses the result.
  */
 InstallCostModel
 calibrate(const update::InstallPlan &plan, uint32_t line_bytes,
@@ -124,28 +124,21 @@ calibrate(const update::InstallPlan &plan, uint32_t line_bytes,
     config.line_bytes = line_bytes;
     config.pacing = update::InstallPacing::Fixed;
     update::InstallTiming timing(config, channel, engine);
-
-    obs::MetricsRegistry registry;
-    timing.registerMetrics(registry);
-
     timing.start(plan, 0);
     timing.replay();
-
-    const obs::MetricsSnapshot snap = registry.snapshot();
-    fatal_if(snap.u64("updater.installs_completed") != 1,
+    fatal_if(timing.installsCompleted() != 1,
              "release calibration replay did not complete");
 
-    const auto phase = [&](const char *name) {
-        return snap.u64(std::string("updater.phase.") + name +
-                        "_cycles");
-    };
+    // Only the admission read overlaps the download; everything
+    // after the signature check follows it.
     InstallCostModel cost;
-    cost.admission_read_cycles = phase("admission_read");
-    cost.admission_sig_cycles = phase("admission_sig");
-    cost.post_admission_cycles =
-        phase("stage_write") + phase("reverify_read") +
-        phase("reverify_sig") + phase("load_write") +
-        phase("capsule_unwrap") + phase("attest");
+    cost.admission_read_cycles =
+        timing.stepCycles(update::InstallStep::AdmissionRead);
+    cost.admission_sig_cycles =
+        timing.stepCycles(update::InstallStep::AdmissionSig);
+    cost.post_admission_cycles = timing.lastInstallCycles() -
+                                 cost.admission_read_cycles -
+                                 cost.admission_sig_cycles;
     return cost;
 }
 
@@ -209,29 +202,29 @@ VendorService::publish(uint32_t version, uint64_t rollback_counter,
     util::Rng bundle_rng(mixSeed(config_.seed, rng_key));
     info.bundle = builder_.build(program, spec,
                                  device_class_key_.pub, bundle_rng);
-    info.framed_bytes = update::kSlotHeaderBytes +
-                        info.bundle.serialize().size();
+    info.framed_bytes =
+        update::kSlotHeaderBytes + info.bundle.serializedSize();
 
-    info.cost_paper = calibrate(
-        update::InstallPlan::fromBundle(info.bundle,
-                                        config_.line_bytes),
-        config_.line_bytes, crypto::kPaperCryptoLatency);
-    info.cost_strong = calibrate(
-        update::InstallPlan::fromBundle(info.bundle,
-                                        config_.line_bytes),
-        config_.line_bytes, crypto::kStrongCipherLatency);
+    const update::InstallPlan plan = update::InstallPlan::fromFramedBytes(
+        info.framed_bytes, info.bundle.image.totalBytes(),
+        config_.line_bytes);
+    info.cost_paper = calibrate(plan, config_.line_bytes,
+                                crypto::kPaperCryptoLatency);
+    info.cost_strong = calibrate(plan, config_.line_bytes,
+                                 crypto::kStrongCipherLatency);
 
     if (base != nullptr) {
         info.delta = builder_.buildDelta(base->bundle, info.bundle);
         info.delta_framed_bytes = update::kSlotHeaderBytes +
                                   info.delta.serializedSize();
-        const update::InstallPlan plan = update::InstallPlan::fromDelta(
-            info.delta, info.bundle, base->framed_bytes,
-            config_.line_bytes);
+        const update::InstallPlan delta_plan =
+            plan.asDelta(info.delta_framed_bytes, base->framed_bytes,
+                         config_.line_bytes);
         info.delta_cost_paper = calibrate(
-            plan, config_.line_bytes, crypto::kPaperCryptoLatency);
-        info.delta_cost_strong = calibrate(
-            plan, config_.line_bytes, crypto::kStrongCipherLatency);
+            delta_plan, config_.line_bytes, crypto::kPaperCryptoLatency);
+        info.delta_cost_strong =
+            calibrate(delta_plan, config_.line_bytes,
+                      crypto::kStrongCipherLatency);
     }
 
     return releases_.emplace(version, std::move(info))

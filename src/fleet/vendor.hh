@@ -10,7 +10,8 @@
  *    same bytes a single-device LiveInstall consumes — built against
  *    one device-class identity and calibrated once per
  *    engine-latency class into an InstallCostModel by replaying the
- *    bundle through update::InstallTiming on an idle machine;
+ *    bundle's plan (from its framed size) through the one install
+ *    pipeline, update::InstallTiming, on an idle channel and engine;
  *  - a quirk table gates offers by hardware variant: devices whose
  *    variant the vendor has no install parameters for are skipped,
  *    never offered (fwupd's quirk matching);

@@ -32,7 +32,13 @@ AgentId
 MemoryChannel::registerAgent(const std::string &name)
 {
     fatal_if(name.empty(), "channel agents need a name");
-    agent_names_.push_back(name);
+    // Names key per-agent metrics and trace tracks, so they must be
+    // unique: a second agent under a taken name (two installers on
+    // one machine) carries its id as a suffix.
+    const bool taken = std::find(agent_names_.begin(), agent_names_.end(),
+                                 name) != agent_names_.end();
+    agent_names_.push_back(
+        taken ? name + "#" + std::to_string(agent_names_.size()) : name);
     agent_bytes_.emplace_back();
     agent_transactions_.emplace_back();
     bg_done_.emplace_back();
@@ -40,7 +46,8 @@ MemoryChannel::registerAgent(const std::string &name)
     bg_stall_cycles_.push_back(0);
     bg_max_stall_.push_back(0);
     if (trace_ != nullptr)
-        agent_tracks_.push_back(trace_->track("channel." + name));
+        agent_tracks_.push_back(
+            trace_->track("channel." + agent_names_.back()));
     return static_cast<AgentId>(agent_names_.size() - 1);
 }
 

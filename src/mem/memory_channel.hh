@@ -131,7 +131,8 @@ class MemoryChannel
     /**
      * Register a named client. Agent 0 ("core") always exists; the
      * returned id is passed to scheduleRead()/enqueueWrite() so the
-     * agent's traffic is attributed to it.
+     * agent's traffic is attributed to it. Names stay unique: a name
+     * already taken is registered as "<name>#<id>".
      */
     AgentId registerAgent(const std::string &name);
 

@@ -5,7 +5,7 @@
  * Components own util/stats primitives (Counter, Accumulator,
  * Histogram) or expose accessor functions; a MetricsRegistry binds
  * them under hierarchical dotted names ("channel.agent.core.bytes",
- * "crypto.reserved_operations", "install.phase.stage_cycles") so
+ * "crypto.reserved_operations", "install.stage_write_cycles") so
  * stats rendering, measurement windows and machine-readable dumps
  * all read from one source instead of each report hand-aggregating
  * its components.

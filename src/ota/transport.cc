@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "util/logging.hh"
-#include "util/random.hh"
 
 namespace secproc::ota
 {
@@ -40,82 +39,66 @@ Transport::send(std::vector<uint8_t> payload, uint64_t cycle,
     next_ = 0;
     sent_ = true;
     send_cycle_ = cycle;
-    chunks_sent_ = 0;
-    chunks_lost_ = 0;
-    chunks_reordered_ = 0;
     chunks_skipped_ = 0;
-    passes_ = 0;
 
-    util::Rng rng(config_.seed);
+    // The first pass covers the whole payload in offset order, minus
+    // chunks the receiver reported already held (a resumed staging
+    // session); the schedule maps each later pass's positions onto
+    // the offsets the previous pass lost.
+    struct Passes
+    {
+        Transport &transport;
+        std::vector<uint64_t> todo; ///< offsets of the current pass
+        std::vector<uint64_t> lost; ///< offsets it dropped so far
 
-    // The work list for the current pass: chunk offsets still
-    // undelivered. The first pass covers the whole payload in offset
-    // order (minus chunks the receiver reported already held — a
-    // resumed staging session); every later pass retransmits the
-    // previous pass's drop set one NACK round trip later.
-    std::vector<uint64_t> todo;
+        void
+        arrive(uint64_t position, uint64_t arrival)
+        {
+            const uint64_t off = todo[position];
+            const auto length = static_cast<uint32_t>(std::min<uint64_t>(
+                transport.config_.chunk_bytes,
+                transport.payload_.size() - off));
+            transport.schedule_.push_back(Arrival{off, length, arrival});
+        }
+
+        void
+        lose(uint64_t position, uint64_t clock)
+        {
+            if (transport.trace_ != nullptr) {
+                transport.trace_->instant(transport.trace_track_,
+                                          "chunk_lost", clock,
+                                          {{"offset", todo[position]}});
+            }
+            lost.push_back(todo[position]);
+        }
+
+        void
+        endPass(uint64_t dropped, uint64_t clock)
+        {
+            todo.swap(lost);
+            lost.clear();
+            if (transport.trace_ != nullptr && dropped != 0) {
+                transport.trace_->instant(transport.trace_track_,
+                                          "retransmit_pass", clock,
+                                          {{"chunks", dropped}});
+            }
+        }
+    } passes{*this, {}, {}};
     for (uint64_t off = 0; off < payload_.size();
          off += config_.chunk_bytes) {
         const uint64_t index = off / config_.chunk_bytes;
-        if (index < held.size() && held[index]) {
+        if (index < held.size() && held[index])
             ++chunks_skipped_;
-            continue;
-        }
-        todo.push_back(off);
+        else
+            passes.todo.push_back(off);
     }
 
-    uint64_t clock = cycle;
-    uint64_t burst_remaining = 0;
-    // A stuck loss process cannot happen (loss_rate < 1 and burst
-    // lengths are finite), but bound the passes anyway so a future
-    // config change fails loudly instead of spinning.
-    constexpr uint64_t kMaxPasses = 10'000;
-    while (!todo.empty()) {
-        fatal_if(++passes_ > kMaxPasses,
-                 "transport retransmitted the same payload ",
-                 kMaxPasses, " times; loss model is stuck");
-        std::vector<uint64_t> lost;
-        for (const uint64_t off : todo) {
-            clock += config_.cycles_per_chunk;
-            ++chunks_sent_;
-            if (burst_remaining == 0 && rng.chance(config_.loss_rate)) {
-                // Gilbert-ish burst: geometric number of extra
-                // losses after the one that opened the burst.
-                burst_remaining =
-                    1 + rng.nextGeometric(1.0 / config_.burst_length);
-            }
-            if (burst_remaining > 0) {
-                --burst_remaining;
-                ++chunks_lost_;
-                if (trace_ != nullptr) {
-                    trace_->instant(trace_track_, "chunk_lost", clock,
-                                    {{"offset", off}});
-                }
-                lost.push_back(off);
-                continue;
-            }
-            uint64_t arrival = clock;
-            if (config_.reorder_rate > 0.0 &&
-                rng.chance(config_.reorder_rate)) {
-                const uint64_t jitter =
-                    1 + rng.nextRange(std::max(
-                            config_.reorder_window, 1u));
-                arrival += jitter * config_.cycles_per_chunk;
-                ++chunks_reordered_;
-            }
-            const uint32_t length = static_cast<uint32_t>(
-                std::min<uint64_t>(config_.chunk_bytes,
-                                   payload_.size() - off));
-            schedule_.push_back(Arrival{off, length, arrival});
-        }
-        todo = std::move(lost);
-        if (trace_ != nullptr && !todo.empty()) {
-            trace_->instant(trace_track_, "retransmit_pass", clock,
-                            {{"chunks", todo.size()}});
-        }
-        clock += config_.retransmit_delay;
-        burst_remaining = 0; // a new pass starts with a clear channel
-    }
+    const ScheduleCounts counts =
+        scheduleArrivals(config_, passes.todo.size(), cycle, passes);
+    chunks_sent_ = counts.sent;
+    chunks_lost_ = counts.lost;
+    chunks_reordered_ = counts.reordered;
+    passes_ = counts.passes;
 
     std::stable_sort(schedule_.begin(), schedule_.end(),
                      [](const Arrival &a, const Arrival &b) {

@@ -20,16 +20,25 @@
  * agent step-locks its admission verify against this stream, so an
  * install can make no progress on bytes the network has not
  * delivered yet.
+ *
+ * The schedule itself — every loss, burst and reorder draw — lives in
+ * scheduleArrivals(), the one place the downlink's RNG is consumed.
+ * Transport keeps payload offsets, bytes and statistics on top of
+ * it; the fleet's lightweight devices (fleet/device.hh) run the very
+ * same routine keeping only the latest arrival.
  */
 
 #ifndef SECPROC_OTA_TRANSPORT_HH
 #define SECPROC_OTA_TRANSPORT_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "obs/trace.hh"
+#include "util/logging.hh"
+#include "util/random.hh"
 
 namespace secproc::ota
 {
@@ -62,6 +71,89 @@ struct TransportConfig
     /** Loss/reorder RNG seed; same seed, same arrival schedule. */
     uint64_t seed = 0x07A'7EA5;
 };
+
+/** What one scheduleArrivals() run drew. */
+struct ScheduleCounts
+{
+    uint64_t sent = 0;      ///< transmissions, retransmissions included
+    uint64_t lost = 0;      ///< transmissions the loss process dropped
+    uint64_t reordered = 0; ///< deliveries jittered out of order
+    uint64_t passes = 0;    ///< transmission passes (first + retries)
+};
+
+/**
+ * The downlink's arrival schedule for @p chunks chunks, the first
+ * transmitted one chunk time after @p cycle. Chunks go out at the
+ * bandwidth cap in pass order; a Gilbert-style two-state process
+ * drops bursts of them (each pass starts with a clear channel),
+ * survivors may be jittered up to reorder_window chunk times late,
+ * and the drop set is retransmitted, in loss order, as the next pass
+ * one NACK round trip after the current one ends — until nothing is
+ * lost. Arrival cycles depend only on a chunk's position in its
+ * pass, never on its payload offset, so the schedule is a function
+ * of counts; @p visit maps positions to whatever it tracks:
+ *
+ *  - visit.arrive(position, cycle): the position-th chunk of the
+ *    current pass arrives at cycle;
+ *  - visit.lose(position, cycle): it was dropped at cycle;
+ *  - visit.endPass(lost, cycle): the pass ended at cycle; its @p lost
+ *    drops, in loss order, form the next pass.
+ *
+ * Header-inline and allocation-free, so a visitor that keeps only a
+ * running maximum costs no more than the loop itself. @p config must
+ * be one Transport's constructor accepts.
+ */
+template <typename Visitor>
+ScheduleCounts
+scheduleArrivals(const TransportConfig &config, uint64_t chunks,
+                 uint64_t cycle, Visitor &visit)
+{
+    util::Rng rng(config.seed);
+    ScheduleCounts counts;
+    uint64_t clock = cycle;
+    // A stuck loss process cannot happen (loss_rate < 1 and burst
+    // lengths are finite), but bound the passes anyway so a future
+    // config change fails loudly instead of spinning.
+    constexpr uint64_t kMaxPasses = 10'000;
+    for (uint64_t todo = chunks; todo != 0;) {
+        fatal_if(++counts.passes > kMaxPasses,
+                 "transport retransmitted the same payload ",
+                 kMaxPasses, " times; loss model is stuck");
+        uint64_t lost = 0;
+        uint64_t burst_remaining = 0;
+        for (uint64_t i = 0; i < todo; ++i) {
+            clock += config.cycles_per_chunk;
+            ++counts.sent;
+            if (burst_remaining == 0 && rng.chance(config.loss_rate)) {
+                // Gilbert-ish burst: geometric number of extra
+                // losses after the one that opened the burst.
+                burst_remaining =
+                    1 + rng.nextGeometric(1.0 / config.burst_length);
+            }
+            if (burst_remaining > 0) {
+                --burst_remaining;
+                ++lost;
+                visit.lose(i, clock);
+                continue;
+            }
+            uint64_t arrival = clock;
+            if (config.reorder_rate > 0.0 &&
+                rng.chance(config.reorder_rate)) {
+                const uint64_t jitter =
+                    1 + rng.nextRange(std::max(config.reorder_window,
+                                               1u));
+                arrival += jitter * config.cycles_per_chunk;
+                ++counts.reordered;
+            }
+            visit.arrive(i, arrival);
+        }
+        counts.lost += lost;
+        visit.endPass(lost, clock);
+        todo = lost;
+        clock += config.retransmit_delay;
+    }
+    return counts;
+}
 
 /**
  * One deterministic lossy downlink carrying one payload.

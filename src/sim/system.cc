@@ -139,7 +139,7 @@ System::preinitializeRegions()
         // seeds under OTP, direct encryption under XOM).
         if (config_.functional) {
             const uint64_t text_lines =
-                (wl.profile().code_footprint + line - 1) / line;
+                util::ceilDiv(wl.profile().code_footprint, line);
             for (uint64_t i = 0; i < text_lines; ++i) {
                 const uint64_t line_va = wl.textBase() + i * line;
                 secure::EvictPlan plan;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Install replay implementation.
+ * Install pipeline implementation.
  */
 
 #include "update/install_timing.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "update/update_engine.hh"
 #include "util/bitops.hh"
@@ -15,6 +16,57 @@ namespace secproc::update
 {
 
 using util::ceilDiv;
+
+namespace
+{
+
+/** Where the no-bytes instance's lines live (DRAM bank selection
+ *  only; no install caller models DRAM banks). */
+constexpr uint64_t kStagingBase = 0x4000'0000;
+
+/** Successor in the install pipeline: the one place its order is
+ *  written down. Attest is last. */
+InstallStep
+nextStep(InstallStep step)
+{
+    switch (step) {
+      case InstallStep::AdmissionRead: return InstallStep::AdmissionSig;
+      case InstallStep::AdmissionSig: return InstallStep::StageWrite;
+      case InstallStep::StageWrite: return InstallStep::ReverifyRead;
+      case InstallStep::ReverifyRead: return InstallStep::ReverifySig;
+      case InstallStep::ReverifySig: return InstallStep::LoadWrite;
+      case InstallStep::LoadWrite: return InstallStep::CapsuleUnwrap;
+      case InstallStep::CapsuleUnwrap: return InstallStep::Attest;
+      case InstallStep::Attest: break;
+    }
+    panic("install step has no successor");
+}
+
+bool
+isRead(InstallStep step)
+{
+    return step == InstallStep::AdmissionRead ||
+           step == InstallStep::ReverifyRead;
+}
+
+bool
+isWrite(InstallStep step)
+{
+    return step == InstallStep::StageWrite ||
+           step == InstallStep::LoadWrite;
+}
+
+/** The signature checks: every single-reservation step but the
+ *  attestation quote. */
+bool
+isSignature(InstallStep step)
+{
+    return step == InstallStep::AdmissionSig ||
+           step == InstallStep::ReverifySig ||
+           step == InstallStep::CapsuleUnwrap;
+}
+
+} // namespace
 
 const char *
 installPacingName(InstallPacing pacing)
@@ -26,16 +78,38 @@ installPacingName(InstallPacing pacing)
     panic("unknown install pacing");
 }
 
+const char *
+installStepName(InstallStep step)
+{
+    switch (step) {
+      case InstallStep::AdmissionRead: return "admission_read";
+      case InstallStep::AdmissionSig: return "admission_sig";
+      case InstallStep::StageWrite: return "stage_write";
+      case InstallStep::ReverifyRead: return "reverify_read";
+      case InstallStep::ReverifySig: return "reverify_sig";
+      case InstallStep::LoadWrite: return "load_write";
+      case InstallStep::CapsuleUnwrap: return "capsule_unwrap";
+      case InstallStep::Attest: return "attest";
+    }
+    panic("unknown install step");
+}
+
+InstallPlan
+InstallPlan::fromFramedBytes(uint64_t framed_bytes, uint64_t image_bytes,
+                             uint32_t line_bytes)
+{
+    InstallPlan plan;
+    plan.stage_lines = ceilDiv(framed_bytes, line_bytes);
+    plan.verify_lines = plan.stage_lines;
+    plan.load_lines = ceilDiv(image_bytes, line_bytes);
+    return plan;
+}
+
 InstallPlan
 InstallPlan::fromBundle(const UpdateBundle &bundle, uint32_t line_bytes)
 {
-    InstallPlan plan;
-    const uint64_t bundle_bytes = bundle.serialize().size();
-    plan.stage_lines =
-        ceilDiv(kSlotHeaderBytes + bundle_bytes, line_bytes);
-    plan.verify_lines = plan.stage_lines;
-    plan.load_lines = ceilDiv(bundle.image.totalBytes(), line_bytes);
-    return plan;
+    return fromFramedBytes(kSlotHeaderBytes + bundle.serializedSize(),
+                           bundle.image.totalBytes(), line_bytes);
 }
 
 InstallPlan
@@ -51,40 +125,49 @@ InstallPlan::fromImageBytes(uint64_t image_bytes, uint32_t line_bytes)
 }
 
 InstallPlan
-InstallPlan::fromDelta(const DeltaBundle &delta,
-                       const UpdateBundle &reconstructed,
-                       uint64_t base_framed_bytes, uint32_t line_bytes)
+InstallPlan::asDelta(uint64_t delta_framed_bytes,
+                     uint64_t base_framed_bytes, uint32_t line_bytes) const
 {
-    InstallPlan plan = fromBundle(reconstructed, line_bytes);
-    plan.admission_lines =
-        ceilDiv(kSlotHeaderBytes + delta.serializedSize(),
-                line_bytes) +
-        ceilDiv(base_framed_bytes, line_bytes);
+    InstallPlan plan = *this;
+    plan.admission_lines = ceilDiv(delta_framed_bytes, line_bytes) +
+                           ceilDiv(base_framed_bytes, line_bytes);
     return plan;
 }
 
 InstallTiming::InstallTiming(const InstallTimingConfig &config,
                              mem::MemoryChannel &channel,
                              crypto::CryptoEngineModel &engine)
-    : config_(config), channel_(channel), engine_(engine),
-      agent_(channel.registerAgent(config.agent_name))
+    : InstallTiming(config, channel, engine, /*chain_signatures=*/false)
 {
-    fatal_if(config_.line_bytes == 0, "install replay needs a line size");
+}
+
+InstallTiming::InstallTiming(const InstallTimingConfig &config,
+                             mem::MemoryChannel &channel,
+                             crypto::CryptoEngineModel &engine,
+                             bool chain_signatures)
+    : config_(config), channel_(channel), engine_(engine),
+      agent_(channel.registerAgent(kInstallerAgentName)),
+      chain_signatures_(chain_signatures)
+{
+    fatal_if(config_.line_bytes == 0, "an install needs a line size");
 }
 
 void
 InstallTiming::start(const InstallPlan &plan, uint64_t cycle,
                      bool repeat)
 {
-    fatal_if(plan.stage_lines == 0 && plan.load_lines == 0,
+    fatal_if(!done(), "an install is already in flight (reset() first)");
+    fatal_if(plan.admissionLines() == 0 && plan.stage_lines == 0 &&
+                 plan.load_lines == 0,
              "install plan with nothing to move");
-    fatal_if(waiting_, "start() with a channel request in flight "
-             "(reset() first)");
     plan_ = plan;
     repeat_ = repeat;
+    state_ = State::Running;
     cursor_ = cycle;
     install_start_ = cycle;
-    enterPhase(Phase::AdmissionRead);
+    last_install_cycles_ = 0;
+    step_cycles_.fill(0);
+    enterStep(InstallStep::AdmissionRead);
 }
 
 void
@@ -93,86 +176,18 @@ InstallTiming::reset()
     // Drop the in-flight install. The caller owns the channel and
     // must reset it alongside (System::reset does): a request still
     // queued in the arbiter would otherwise be granted to nobody.
-    phase_ = Phase::Idle;
-    phase_index_ = 0;
+    if (trace_ != nullptr && !done())
+        trace_->instant(trace_track_, "power_cut_reset", cursor_);
+    state_ = State::Idle;
+    index_ = 0;
     waiting_ = false;
     repeat_ = false;
 }
 
 uint64_t
-InstallTiming::lineAddr(uint64_t index) const
+InstallTiming::lineAddr(InstallStep, uint64_t index) const
 {
-    return config_.staging_base + index * config_.line_bytes;
-}
-
-uint32_t
-InstallTiming::writePaceCycles() const
-{
-    // Streams of writes are paced at the bus transfer time of one
-    // line: the source (transport DMA, loader) can produce no faster
-    // than the channel can possibly drain.
-    const uint32_t pace = channel_.config().transfer_cycles;
-    return pace ? pace : 1;
-}
-
-InstallTiming::Phase
-InstallTiming::nextPhase(Phase phase)
-{
-    // The one place the install pipeline's order is written down.
-    switch (phase) {
-      case Phase::AdmissionRead: return Phase::AdmissionSig;
-      case Phase::AdmissionSig: return Phase::StageWrite;
-      case Phase::StageWrite: return Phase::ReverifyRead;
-      case Phase::ReverifyRead: return Phase::ReverifySig;
-      case Phase::ReverifySig: return Phase::LoadWrite;
-      case Phase::LoadWrite: return Phase::CapsuleUnwrap;
-      case Phase::CapsuleUnwrap: return Phase::Attest;
-      case Phase::Attest:
-      case Phase::Idle:
-        break;
-    }
-    panic("install phase has no successor");
-}
-
-uint64_t
-InstallTiming::phaseItems(Phase phase) const
-{
-    switch (phase) {
-      case Phase::AdmissionRead:
-        return plan_.admissionLines();
-      case Phase::ReverifyRead:
-        return plan_.verify_lines;
-      case Phase::StageWrite:
-        return plan_.stage_lines;
-      case Phase::LoadWrite:
-        return plan_.load_lines;
-      case Phase::AdmissionSig:
-      case Phase::ReverifySig:
-      case Phase::CapsuleUnwrap:
-        return config_.signature_engine_ops != 0 ? 1 : 0;
-      case Phase::Attest:
-        return plan_.attest && config_.attest_engine_ops != 0 ? 1 : 0;
-      case Phase::Idle:
-        break;
-    }
-    return 0;
-}
-
-const char *
-InstallTiming::phaseName(Phase phase)
-{
-    switch (phase) {
-      case Phase::AdmissionRead: return "admission_read";
-      case Phase::AdmissionSig: return "admission_sig";
-      case Phase::StageWrite: return "stage_write";
-      case Phase::ReverifyRead: return "reverify_read";
-      case Phase::ReverifySig: return "reverify_sig";
-      case Phase::LoadWrite: return "load_write";
-      case Phase::CapsuleUnwrap: return "capsule_unwrap";
-      case Phase::Attest: return "attest";
-      case Phase::Idle: return "idle";
-    }
-    panic("unknown install phase");
+    return kStagingBase + index * config_.line_bytes;
 }
 
 void
@@ -180,170 +195,163 @@ InstallTiming::setTraceSink(obs::TraceSink *sink)
 {
     trace_ = sink;
     if (sink != nullptr)
-        trace_track_ = sink->track(config_.agent_name);
+        trace_track_ = sink->track("install");
 }
 
 void
 InstallTiming::registerMetrics(obs::MetricsRegistry &reg) const
 {
-    static constexpr Phase kAccounted[] = {
-        Phase::AdmissionRead, Phase::AdmissionSig, Phase::StageWrite,
-        Phase::ReverifyRead,  Phase::ReverifySig,  Phase::LoadWrite,
-        Phase::CapsuleUnwrap, Phase::Attest,
-    };
-    for (const Phase phase : kAccounted) {
-        reg.counterFn(std::string("updater.phase.") + phaseName(phase) +
+    for (size_t i = 0; i < kInstallSteps; ++i) {
+        const auto step = static_cast<InstallStep>(i);
+        reg.counterFn(std::string("install.") + installStepName(step) +
                           "_cycles",
-                      [this, phase] {
-                          return phase_cycles_[static_cast<size_t>(
-                              phase)];
-                      });
+                      [this, step] { return stepCycles(step); });
     }
-    reg.counterFn("updater.installs_completed",
+    reg.counterFn("install.completed",
                   [this] { return installs_completed_; });
 }
 
-void
-InstallTiming::closePhaseSpan()
+uint64_t
+InstallTiming::stepItems(InstallStep step) const
 {
-    if (phase_ == Phase::Idle || cursor_ < phase_started_at_)
-        return;
-    phase_cycles_[static_cast<size_t>(phase_)] +=
-        cursor_ - phase_started_at_;
-    if (trace_ != nullptr && cursor_ > phase_started_at_) {
-        trace_->duration(trace_track_, phaseName(phase_),
-                         phase_started_at_, cursor_);
+    switch (step) {
+      case InstallStep::AdmissionRead: return plan_.admissionLines();
+      case InstallStep::StageWrite: return plan_.stage_lines;
+      case InstallStep::ReverifyRead: return plan_.verify_lines;
+      case InstallStep::LoadWrite: return plan_.load_lines;
+      default: return 1;
     }
 }
 
 void
-InstallTiming::completePhase()
+InstallTiming::enterStep(InstallStep step)
 {
-    if (phase_ == Phase::Attest)
-        finishInstall();
+    step_ = step;
+    index_ = 0;
+    step_started_at_ = cursor_;
+    // Fall through steps the plan leaves empty, so issueNext()
+    // always has work.
+    if (stepItems(step) == 0)
+        completeStep();
+    else if (chain_signatures_ && isSignature(step))
+        issueNext();
+}
+
+void
+InstallTiming::completeStep()
+{
+    // Close the step's span: cycles and trace duration.
+    panic_if(cursor_ < step_started_at_, "install cursor ran backwards");
+    step_cycles_[static_cast<size_t>(step_)] +=
+        cursor_ - step_started_at_;
+    if (trace_ != nullptr && cursor_ > step_started_at_) {
+        trace_->duration(trace_track_, installStepName(step_),
+                         step_started_at_, cursor_);
+    }
+    if (!commit(step_))
+        finish(State::Failed);
+    else if (step_ == InstallStep::Attest)
+        finish(State::Done);
     else
-        enterPhase(nextPhase(phase_));
+        enterStep(nextStep(step_));
 }
 
 void
-InstallTiming::enterPhase(Phase phase)
+InstallTiming::finish(State terminal)
 {
-    closePhaseSpan();
-    phase_ = phase;
-    phase_index_ = 0;
-    phase_started_at_ = cursor_;
-    // Fall through phases the plan or config leaves empty, so
-    // issueNext() always has work.
-    if (phase_ != Phase::Idle && phaseItems(phase_) == 0)
-        completePhase();
-}
-
-void
-InstallTiming::finishInstall()
-{
-    closePhaseSpan();
-    // The span just closed; rebase so the repeat path's enterPhase
-    // (which closes again) accumulates zero, not a duplicate.
-    phase_started_at_ = cursor_;
-    ++installs_completed_;
     last_install_cycles_ = cursor_ - install_start_;
-    if (repeat_) {
+    if (terminal == State::Done)
+        ++installs_completed_;
+    if (repeat_ && terminal == State::Done) {
         install_start_ = cursor_;
-        enterPhase(Phase::AdmissionRead);
-    } else {
-        phase_ = Phase::Idle;
+        enterStep(InstallStep::AdmissionRead);
+        return;
     }
+    state_ = terminal;
 }
 
-void
+bool
 InstallTiming::issueNext()
 {
-    switch (phase_) {
-      case Phase::AdmissionRead:
-      case Phase::ReverifyRead: {
+    const uint64_t items = stepItems(step_);
+    if (isRead(step_)) {
+        // Fetch one line and digest it: the hash unit holds the
+        // engine for the whole line, it is not the pipelined pad
+        // path. A line cannot be fetched before its input exists.
+        const uint64_t input = inputReadyAt(step_, index_);
+        if (input == sim::kNeverCycle)
+            return false;
+        const uint64_t ready = std::max(cursor_, input);
         if (config_.pacing == InstallPacing::Arbiter) {
-            channel_.requestBackground(cursor_,
-                                       mem::Traffic::UpdateFill,
-                                       /*write=*/false,
-                                       /*small=*/false,
-                                       lineAddr(phase_index_), agent_);
+            channel_.requestBackground(ready, mem::Traffic::UpdateFill,
+                                       /*write=*/false, /*small=*/false,
+                                       lineAddr(step_, index_), agent_);
             waiting_ = true;
-            return;
+            return true;
         }
-        // Fetch one staged/transport line and digest it: the hash
-        // unit holds the engine for the whole line, it is not the
-        // pipelined pad path.
         const uint64_t arrival = channel_.scheduleRead(
-            cursor_, mem::Traffic::UpdateFill, /*small=*/false,
-            lineAddr(phase_index_), agent_);
+            ready, mem::Traffic::UpdateFill, /*small=*/false,
+            lineAddr(step_, index_), agent_);
         cursor_ = engine_.reserve(arrival);
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
-        return;
-      }
-      case Phase::AdmissionSig:
-      case Phase::ReverifySig:
-      case Phase::CapsuleUnwrap: {
-        cursor_ = engine_.reserve(cursor_,
-                                  config_.signature_engine_ops);
-        completePhase();
-        return;
-      }
-      case Phase::StageWrite:
-      case Phase::LoadWrite: {
+    } else if (isWrite(step_)) {
+        while (index_ < items && skipLine(step_, index_))
+            ++index_;
+        if (index_ >= items) {
+            completeStep();
+            return true;
+        }
         if (config_.pacing == InstallPacing::Arbiter) {
             channel_.requestBackground(cursor_,
                                        mem::Traffic::UpdateWriteback,
-                                       /*write=*/true,
-                                       /*small=*/false,
-                                       lineAddr(phase_index_), agent_);
+                                       /*write=*/true, /*small=*/false,
+                                       lineAddr(step_, index_), agent_);
             waiting_ = true;
-            return;
+            return true;
         }
         channel_.enqueueWrite(cursor_, mem::Traffic::UpdateWriteback,
-                              /*small=*/false, lineAddr(phase_index_),
+                              /*small=*/false, lineAddr(step_, index_),
                               agent_);
-        cursor_ += writePaceCycles();
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
-        return;
-      }
-      case Phase::Attest: {
-        cursor_ = engine_.reserve(cursor_, config_.attest_engine_ops);
-        completePhase();
-        return;
-      }
-      case Phase::Idle:
-        return;
+        lineWritten(step_, index_);
+        // Streams of writes are paced at the bus transfer time of
+        // one line: the source (transport DMA, loader) can produce
+        // no faster than the channel can possibly drain.
+        const uint32_t pace = channel_.config().transfer_cycles;
+        cursor_ += pace ? pace : 1;
+    } else {
+        cursor_ = engine_.reserve(cursor_, step_ == InstallStep::Attest
+                                               ? kAttestEngineOps
+                                               : kSignatureEngineOps);
     }
+    if (++index_ >= items)
+        completeStep();
+    return true;
 }
 
 void
 InstallTiming::completeGrant(uint64_t completion)
 {
-    switch (phase_) {
-      case Phase::AdmissionRead:
-      case Phase::ReverifyRead:
+    if (isRead(step_)) {
         // The granted line arrived; the digest holds the engine for
         // the whole line time, exactly as in fixed pacing.
         cursor_ = engine_.reserve(completion);
-        break;
-      case Phase::StageWrite:
-      case Phase::LoadWrite:
+    } else {
+        panic_if(!isWrite(step_),
+                 "arbiter grant in a non-channel install step");
+        lineWritten(step_, index_);
         cursor_ = completion;
-        break;
-      default:
-        panic("arbiter grant in a non-channel install phase");
     }
-    if (++phase_index_ >= phaseItems(phase_))
-        completePhase();
+    if (++index_ >= stepItems(step_))
+        completeStep();
 }
 
 uint64_t
 InstallTiming::nextEventCycle(uint64_t now) const
 {
-    if (phase_ == Phase::Idle)
+    if (done())
         return sim::kNeverCycle;
+    // Payload input (transport arrivals) must be pumped promptly
+    // whatever else the install is doing.
+    const uint64_t wake = wakeCycle();
     if (waiting_) {
         // A grant may already be parked for us (the foreground's own
         // channel activity runs the arbiter too): collect at the
@@ -351,28 +359,36 @@ InstallTiming::nextEventCycle(uint64_t now) const
         // cycle its arbiter state can change.
         if (channel_.backgroundGrantReady(agent_))
             return now;
-        return channel_.nextArbiterEventCycle();
+        return std::min(wake, channel_.nextArbiterEventCycle());
     }
+    // Blocked on input: only the payload's wake can unblock us.
+    if (isRead(step_) &&
+        inputReadyAt(step_, index_) == sim::kNeverCycle)
+        return wake;
     // Self-paced: the next issue happens at the first boundary that
     // reaches the pipeline cursor.
-    return cursor_;
+    return std::min(wake, cursor_);
 }
 
 void
 InstallTiming::advance(uint64_t cycle)
 {
-    while (phase_ != Phase::Idle) {
+    if (done())
+        return;
+    pump(cycle);
+    while (!done()) {
         if (waiting_) {
-            const auto done = channel_.pollBackground(agent_, cycle);
-            if (!done.has_value())
+            const auto granted = channel_.pollBackground(agent_, cycle);
+            if (!granted.has_value())
                 return;
             waiting_ = false;
-            completeGrant(*done);
+            completeGrant(*granted);
             continue;
         }
         if (cursor_ > cycle)
             return;
-        issueNext();
+        if (!issueNext())
+            return; // blocked on payload input
     }
 }
 
@@ -380,23 +396,27 @@ uint64_t
 InstallTiming::replay()
 {
     fatal_if(repeat_, "replay() on a repeating install never finishes");
-    const uint64_t target = installs_completed_ + 1;
-    while (phase_ != Phase::Idle && installs_completed_ < target) {
+    fatal_if(state_ == State::Idle, "nothing to replay");
+    uint64_t now = cursor_;
+    while (!done()) {
+        advance(now);
+        if (done())
+            break;
+        // Idle machine: jump the clock to whatever unblocks the
+        // pipeline — the next idle gap right after the bus horizon
+        // (a poll there always grants), else a chunk time past the
+        // cursor, which reaches both the next issue and the next
+        // transport arrival.
+        uint64_t next = std::max(now, cursor_);
         if (waiting_) {
-            // Idle machine: the next idle gap is right after the
-            // current bus horizon, so a poll just past it always
-            // grants.
-            const uint64_t horizon =
-                std::max(cursor_, channel_.busyUntil()) +
-                channel_.config().transfer_cycles + 1;
-            const auto done = channel_.pollBackground(agent_, horizon);
-            panic_if(!done.has_value(),
-                     "idle-machine replay failed to grant");
-            waiting_ = false;
-            completeGrant(*done);
-            continue;
+            next = std::max(next, channel_.busyUntil()) +
+                   channel_.config().transfer_cycles + 1;
+        } else {
+            next += config_.transport.cycles_per_chunk;
         }
-        issueNext();
+        panic_if(next <= now, "idle replay is stuck at cycle ", now,
+                 " in step ", installStepName(step_));
+        now = next;
     }
     return cursor_;
 }

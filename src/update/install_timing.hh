@@ -1,20 +1,21 @@
 /**
  * @file
- * Cycle-plane model of a secure software install.
+ * Cycle-plane model of a secure software install: the one install
+ * pipeline.
  *
  * The UpdateEngine (update_engine.hh) is functional-only: verify(),
  * stage() and activate() move and check real bytes but cost zero
- * simulated cycles. This adapter replays the same flow against the
+ * simulated cycles. This pipeline replays the same flow against the
  * machine's *timing* resources — the shared MemoryChannel and the
  * shared CryptoEngineModel — so the paper-style question "what does
  * a background OTA install do to foreground slowdown?" becomes
- * answerable:
+ * answerable. Its steps (InstallStep), in order:
  *
- *  1. admission verify: every bundle line is fetched from the
- *     transport buffer in untrusted memory (Traffic::UpdateFill) and
- *     digested in the crypto engine (an exclusive whole-line
- *     reservation — hashing is not the pipelined pad path);
- *     signature checks reserve the engine for several line-times;
+ *  1. admission: every inbound bundle line is fetched
+ *     (Traffic::UpdateFill) and digested in the crypto engine (an
+ *     exclusive whole-line reservation — hashing is not the
+ *     pipelined pad path), then the manifest signature check
+ *     reserves the engine for several line-times;
  *  2. stage: the framed bundle streams into the inactive A/B slot
  *     through the write buffer (Traffic::UpdateWriteback);
  *  3. re-verification at activate: the staged bytes are read back
@@ -22,28 +23,36 @@
  *     boundary), plus another signature check;
  *  4. load: the vendor-encrypted image streams to its home region
  *     and the key capsule unwrap reserves the engine once more;
- *  5. attestation quote (optional): one more signing reservation.
+ *  5. attestation quote: one more signing reservation.
  *
  * The replay is self-paced — one transaction outstanding, the next
  * issued when its predecessor completes — and is driven by
  * System::run() through the BackgroundAgent interface, so install
  * traffic interleaves deterministically with the foreground
  * workload's fills and evictions.
+ *
+ * InstallTiming on its own is the no-bytes instance: it needs only a
+ * channel and an engine, which is what fleet calibration and the
+ * interference benches run. LiveInstall (live_install.hh) derives
+ * from it and supplies a functional payload through the protected
+ * hooks — transport step-lock, line addresses, per-line slot writes
+ * and the functional commits — while the step order, pacing, cycle
+ * accounting, tracing and idle replay stay here.
  */
 
 #ifndef SECPROC_UPDATE_INSTALL_TIMING_HH
 #define SECPROC_UPDATE_INSTALL_TIMING_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "crypto/latency.hh"
 #include "mem/memory_channel.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "ota/transport.hh"
 #include "sim/agent.hh"
-#include "update/delta.hh"
 #include "update/manifest.hh"
 
 namespace secproc::update
@@ -51,9 +60,8 @@ namespace secproc::update
 
 /**
  * Resource demands of one install, in line-sized units. Derived from
- * a real UpdateBundle or synthesized from an image size; the
- * InstallTiming executor turns it into channel transactions and
- * engine reservations.
+ * framed sizes (or synthesized from an image size); the pipeline
+ * turns it into channel transactions and engine reservations.
  */
 struct InstallPlan
 {
@@ -76,8 +84,15 @@ struct InstallPlan
     /** Image lines streamed to their home region at load. */
     uint64_t load_lines = 0;
 
-    /** Request an attestation quote after activation. */
-    bool attest = true;
+    /**
+     * The demands of installing a bundle that frames to
+     * @p framed_bytes (slot header included) around an image of
+     * @p image_bytes: every framed line is admitted, staged and
+     * re-verified, every image line loaded.
+     */
+    static InstallPlan fromFramedBytes(uint64_t framed_bytes,
+                                       uint64_t image_bytes,
+                                       uint32_t line_bytes);
 
     /** The exact demands of installing @p bundle. */
     static InstallPlan fromBundle(const UpdateBundle &bundle,
@@ -88,15 +103,15 @@ struct InstallPlan
                                       uint32_t line_bytes);
 
     /**
-     * The demands of a delta install: admission covers the framed
-     * delta stream plus the base-bundle readback; staging, reverify
-     * and load cover the full @p reconstructed bundle (slot-to-slot
-     * reconstruction writes every line of the new image).
+     * This plan shipped as a delta: admission covers the framed delta
+     * stream (@p delta_framed_bytes) plus the base bundle's readback
+     * (@p base_framed_bytes); staging, re-verify and load keep this
+     * plan's full-bundle extents (slot-to-slot reconstruction writes
+     * every line of the new image).
      */
-    static InstallPlan fromDelta(const DeltaBundle &delta,
-                                 const UpdateBundle &reconstructed,
-                                 uint64_t base_framed_bytes,
-                                 uint32_t line_bytes);
+    InstallPlan asDelta(uint64_t delta_framed_bytes,
+                        uint64_t base_framed_bytes,
+                        uint32_t line_bytes) const;
 
     /** Lines the admission pass actually touches. */
     uint64_t
@@ -113,8 +128,8 @@ enum class InstallPacing
 {
     /**
      * Issue immediately against the bus horizon; write streams are
-     * paced at the bus transfer time (the PR-4 model: the install
-     * takes bandwidth whenever its own pipeline is ready).
+     * paced at the bus transfer time (the install takes bandwidth
+     * whenever its own pipeline is ready).
      */
     Fixed,
 
@@ -130,7 +145,40 @@ enum class InstallPacing
 /** Short name for bench labels ("fixed" / "arbiter"). */
 const char *installPacingName(InstallPacing pacing);
 
-/** Knobs of the replay (engine costs of the non-streaming steps). */
+/** The install pipeline's steps, in pipeline order. */
+enum class InstallStep : uint8_t
+{
+    AdmissionRead,  ///< fetch + digest the inbound bundle's lines
+    AdmissionSig,   ///< manifest signature check
+    StageWrite,     ///< stream the framed bundle into the slot
+    ReverifyRead,   ///< fetch + digest the staged lines (activate)
+    ReverifySig,    ///< staged manifest signature re-check
+    LoadWrite,      ///< stream image lines to their home region
+    CapsuleUnwrap,  ///< RSA key-capsule unwrap
+    Attest,         ///< attestation quote signature
+};
+
+/** Number of InstallStep values. */
+inline constexpr size_t kInstallSteps = 8;
+
+/** Short step name for traces and metrics ("admission_read", ...). */
+const char *installStepName(InstallStep step);
+
+/**
+ * Crypto-engine reservation, in whole-line operation times, of one
+ * RSA signature check or key capsule unwrap. A dedicated big-number
+ * unit would shrink this; the paper's machine has only the one line
+ * engine.
+ */
+inline constexpr uint32_t kSignatureEngineOps = 16;
+
+/** Engine reservation for signing one attestation quote. */
+inline constexpr uint32_t kAttestEngineOps = 16;
+
+/** Channel-agent name an install's own transactions carry. */
+inline constexpr const char *kInstallerAgentName = "installer";
+
+/** Knobs of an install. */
 struct InstallTimingConfig
 {
     /** L2 line size; one channel transaction per line. */
@@ -139,33 +187,24 @@ struct InstallTimingConfig
     /** How transactions contend with the foreground. */
     InstallPacing pacing = InstallPacing::Fixed;
 
-    /** Base address of the staging slot (DRAM bank selection). */
-    uint64_t staging_base = 0x4000'0000;
-
     /**
-     * Crypto-engine reservation, in whole-line operation times, for
-     * one RSA signature verification (and for the key capsule
-     * unwrap). A dedicated big-number unit would shrink this; the
-     * paper's machine has only the one line engine.
+     * Downlink the inbound bundle streams over (a LiveInstall's
+     * payload); its chunk time also sets the idle replay's clock
+     * step.
      */
-    uint32_t signature_engine_ops = 16;
-
-    /** Engine reservation for signing one attestation quote. */
-    uint32_t attest_engine_ops = 16;
-
-    /** Channel-agent display name. */
-    std::string agent_name = "updater";
+    ota::TransportConfig transport;
 };
 
 /**
- * Replays InstallPlans against a machine's shared channel and crypto
- * engine as a self-paced background agent.
+ * The install pipeline, run as a self-paced background agent
+ * against a machine's shared channel and crypto engine.
  */
 class InstallTiming : public sim::BackgroundAgent
 {
   public:
     /**
-     * Registers a named channel agent for attribution.
+     * The no-bytes pipeline. Registers the installer's channel agent
+     * for attribution.
      *
      * @param channel The machine's memory channel.
      * @param engine The machine's shared crypto engine.
@@ -184,103 +223,159 @@ class InstallTiming : public sim::BackgroundAgent
 
     // BackgroundAgent interface.
     void advance(uint64_t cycle) override;
-    bool done() const override { return phase_ == Phase::Idle; }
+    bool done() const override { return state_ != State::Running; }
     uint64_t nextEventCycle(uint64_t now) const override;
+
+    /**
+     * Power cut / machine reset: abandon the install in flight; no
+     * further work is issued. Pair with System::reset(), which drops
+     * the channel-side queued request and calls this hook.
+     */
     void reset() override;
 
     /**
-     * Run the current install(s) to completion regardless of the
-     * core clock (idle-machine replay). @return the completion cycle
-     * of the install in flight. Must not be called on a repeating
-     * replay — it would never finish.
+     * Run the current install to completion regardless of the core
+     * clock (idle-machine replay). @return the cycle it finished (or
+     * failed). Must not be called on a repeating replay — it would
+     * never finish.
      */
     uint64_t replay();
 
     /** Installs fully replayed so far. */
     uint64_t installsCompleted() const { return installs_completed_; }
 
-    /** Duration of the most recently completed install. */
+    /** Duration of the most recently finished install (0 while the
+     *  first install since start() is in flight). */
     uint64_t lastInstallCycles() const { return last_install_cycles_; }
 
-    /** Channel agent id this replay's traffic is attributed to. */
+    /** Cycles spent in @p step since start(). */
+    uint64_t
+    stepCycles(InstallStep step) const
+    {
+        return step_cycles_[static_cast<size_t>(step)];
+    }
+
+    /** Channel agent this install's own traffic is attributed to. */
     mem::AgentId agent() const { return agent_; }
 
     /**
-     * Trace the replay onto @p sink (nullptr detaches): one span per
-     * pipeline phase on a track named after the channel agent.
+     * Trace the install onto @p sink (nullptr detaches): an "install"
+     * track carries one span per step plus a power-cut instant.
      * Inherited from System::setTraceSink when attached.
      */
     void setTraceSink(obs::TraceSink *sink) override;
 
     /**
-     * Register per-phase cycle accounting
-     * ("updater.phase.<name>_cycles") and install progress counters
-     * with @p reg.
+     * Register the install.* family with @p reg: per-step cycle
+     * accounting ("install.<step>_cycles") and completed installs.
      */
-    void registerMetrics(obs::MetricsRegistry &reg) const;
+    virtual void registerMetrics(obs::MetricsRegistry &reg) const;
 
-  private:
-    enum class Phase
+  protected:
+    /** Where the pipeline stands. */
+    enum class State : uint8_t
     {
-        AdmissionRead,  ///< fetch + digest bundle lines (verify)
-        AdmissionSig,   ///< manifest signature check
-        StageWrite,     ///< stream framed bundle into the slot
-        ReverifyRead,   ///< fetch + digest staged lines (activate)
-        ReverifySig,    ///< staged manifest signature re-check
-        LoadWrite,      ///< stream image lines to their home region
-        CapsuleUnwrap,  ///< RSA key-capsule unwrap
-        Attest,         ///< attestation quote signature
-        Idle,
+        Idle,    ///< nothing started, or reset mid-install
+        Running, ///< a step is in flight
+        Done,    ///< the last install completed
+        Failed,  ///< a commit refused the last install
     };
 
+    /**
+     * Payload constructor. With @p chain_signatures each signature
+     * step (AdmissionSig, ReverifySig, CapsuleUnwrap) books the
+     * engine the moment the stream it authenticates drains —
+     * back-to-back with the last digest or write, as a device that
+     * renders its verdict on the spot does — instead of re-arbitrating
+     * at the next boundary the cursor reaches.
+     */
+    InstallTiming(const InstallTimingConfig &config,
+                  mem::MemoryChannel &channel,
+                  crypto::CryptoEngineModel &engine,
+                  bool chain_signatures);
+
+    /** @name Payload hooks (the no-bytes instance's defaults). @{ */
+
+    /** Land input that arrived by @p cycle; first thing advance()
+     *  does. */
+    virtual void pump(uint64_t) {}
+
+    /** Earliest cycle pump() has work (sim::kNeverCycle: none). */
+    virtual uint64_t wakeCycle() const { return sim::kNeverCycle; }
+
+    /** Cycle line @p index of read step @p step has its input, or
+     *  sim::kNeverCycle while it has not been delivered yet. */
+    virtual uint64_t inputReadyAt(InstallStep, uint64_t) const
+    {
+        return 0;
+    }
+
+    /** Address of line @p index of streaming step @p step. */
+    virtual uint64_t lineAddr(InstallStep step, uint64_t index) const;
+
+    /** True if write @p index of @p step is already in place and
+     *  issues nothing. */
+    virtual bool skipLine(InstallStep, uint64_t) const { return false; }
+
+    /** Write @p index of @p step moved its line (issued under Fixed
+     *  pacing, granted under Arbiter). */
+    virtual void lineWritten(InstallStep, uint64_t) {}
+
+    /** @p step drained at cursor(); false refuses the install, which
+     *  ends Failed. */
+    virtual bool commit(InstallStep) { return true; }
+
+    /** @} */
+
+    State state() const { return state_; }
+    InstallStep step() const { return step_; }
+    uint64_t cursor() const { return cursor_; }
+    const InstallTimingConfig &config() const { return config_; }
+
+    /** Replace the plan mid-install (a delta learns its
+     *  reconstructed extents only at admission). */
+    void setPlan(const InstallPlan &plan) { plan_ = plan; }
+
+  private:
     InstallTimingConfig config_;
     mem::MemoryChannel &channel_;
     crypto::CryptoEngineModel &engine_;
     mem::AgentId agent_;
+    bool chain_signatures_;
 
     InstallPlan plan_;
     bool repeat_ = false;
-    Phase phase_ = Phase::Idle;
-    uint64_t phase_index_ = 0; ///< lines issued in the current phase
-    uint64_t cursor_ = 0;      ///< completion cycle of the last action
+    State state_ = State::Idle;
+    InstallStep step_ = InstallStep::AdmissionRead;
+    uint64_t index_ = 0;  ///< items issued in the current step
+    uint64_t cursor_ = 0; ///< completion cycle of the last action
+    /** Arbiter pacing: a channel request is in flight. */
+    bool waiting_ = false;
     uint64_t install_start_ = 0;
     uint64_t installs_completed_ = 0;
     uint64_t last_install_cycles_ = 0;
-    /** Arbiter pacing: a channel request is in flight. */
-    bool waiting_ = false;
 
-    /** Cycle the current phase was entered (span start). */
-    uint64_t phase_started_at_ = 0;
-    /** Cycles spent per phase, indexed by Phase. */
-    std::array<uint64_t, 9> phase_cycles_{};
+    /** Cycle the current step was entered (span start). */
+    uint64_t step_started_at_ = 0;
+    std::array<uint64_t, kInstallSteps> step_cycles_{};
 
     obs::TraceSink *trace_ = nullptr;
     obs::TrackId trace_track_ = 0;
 
-    /** Issue the next transaction/reservation; advances cursor_. */
-    void issueNext();
+    /** How many items the plan puts in @p step. */
+    uint64_t stepItems(InstallStep step) const;
+
+    /** Issue the current step's next item; false when blocked on
+     *  payload input. */
+    bool issueNext();
 
     /** Arbiter pacing: fold a granted transaction's completion into
-     *  the pipeline (reads chain into an engine reservation). */
+     *  the pipeline (reads chain into a digest reservation). */
     void completeGrant(uint64_t completion);
 
-    /** Successor in the fixed install pipeline (sole ordering map). */
-    static Phase nextPhase(Phase phase);
-
-    /** Short phase name for traces and metrics. */
-    static const char *phaseName(Phase phase);
-
-    /** Close the running phase's span (cycles + trace duration). */
-    void closePhaseSpan();
-
-    /** How many issueNext() items the plan puts in @p phase. */
-    uint64_t phaseItems(Phase phase) const;
-
-    void enterPhase(Phase phase);
-    void completePhase();
-    void finishInstall();
-    uint64_t lineAddr(uint64_t index) const;
-    uint32_t writePaceCycles() const;
+    void enterStep(InstallStep step);
+    void completeStep();
+    void finish(State terminal);
 };
 
 } // namespace secproc::update

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unified-plane install implementation.
+ * Unified-plane install implementation: the functional payload the
+ * install pipeline runs on.
  */
 
 #include "update/live_install.hh"
@@ -12,6 +13,31 @@
 
 namespace secproc::update
 {
+
+namespace
+{
+
+/** Channel-agent name of the transport DMA's writes. */
+constexpr const char *kOtaDmaAgentName = "ota_dma";
+
+/** The live phase a pipeline step belongs to. */
+LiveInstallPhase
+phaseOf(InstallStep step)
+{
+    switch (step) {
+      case InstallStep::AdmissionRead:
+      case InstallStep::AdmissionSig: return LiveInstallPhase::Admission;
+      case InstallStep::StageWrite: return LiveInstallPhase::Stage;
+      case InstallStep::ReverifyRead:
+      case InstallStep::ReverifySig: return LiveInstallPhase::Reverify;
+      case InstallStep::LoadWrite:
+      case InstallStep::CapsuleUnwrap: return LiveInstallPhase::Load;
+      case InstallStep::Attest: return LiveInstallPhase::Attest;
+    }
+    panic("unknown install step");
+}
+
+} // namespace
 
 const char *
 liveInstallPhaseName(LiveInstallPhase phase)
@@ -32,47 +58,30 @@ liveInstallPhaseName(LiveInstallPhase phase)
 LiveInstall::LiveInstall(const LiveInstallConfig &config,
                          sim::System &system, UpdateEngine &updater,
                          secure::CompartmentId compartment)
-    : config_(config), system_(system), updater_(updater),
-      compartment_(compartment), transport_(config.transport),
-      agent_(system.channel().registerAgent(config.agent_name)),
-      dma_agent_(system.channel().registerAgent(config.dma_agent_name))
+    : InstallTiming(config, system.channel(), system.cryptoEngine(),
+                    /*chain_signatures=*/true),
+      system_(system), updater_(updater), compartment_(compartment),
+      transport_(config.transport),
+      dma_agent_(system.channel().registerAgent(kOtaDmaAgentName))
 {
-    fatal_if(config_.line_bytes == 0, "live install needs a line size");
 }
 
 void
 LiveInstall::start(const UpdateBundle &bundle, uint64_t cycle)
 {
-    fatal_if(!done(), "an install is already in flight");
-    fatal_if(waiting_, "start() with a channel request in flight "
-             "(reset() first)");
-
     delta_mode_ = false;
     framed_ = frameBundle(bundle);
     framed_slot_.clear();
     base_framed_bytes_ = 0;
-    // Same line counts InstallPlan::fromBundle derives, but from the
-    // framed bytes already in hand — no second multi-MB serialize.
-    const auto ceil_lines = [this](uint64_t bytes) {
-        return (bytes + config_.line_bytes - 1) / config_.line_bytes;
-    };
-    plan_ = InstallPlan{};
-    plan_.stage_lines = ceil_lines(framed_.size());
-    plan_.verify_lines = plan_.stage_lines;
-    plan_.load_lines = ceil_lines(bundle.image.totalBytes());
-    plan_.attest = config_.attest;
-    slot_ = updater_.stagingSlot();
-
-    beginInstall(cycle);
+    begin(InstallPlan::fromFramedBytes(framed_.size(),
+                                       bundle.image.totalBytes(),
+                                       config().line_bytes),
+          cycle);
 }
 
 void
 LiveInstall::startDelta(const DeltaBundle &delta, uint64_t cycle)
 {
-    fatal_if(!done(), "an install is already in flight");
-    fatal_if(waiting_, "start() with a channel request in flight "
-             "(reset() first)");
-
     delta_mode_ = true;
     framed_ = frameBundleBytes(delta.serialize());
     framed_slot_.clear();
@@ -84,45 +93,36 @@ LiveInstall::startDelta(const DeltaBundle &delta, uint64_t cycle)
         updater_
             .framedExtent(updater_.activeSlot(), system_.mainMemory())
             .value_or(0);
-    const auto ceil_lines = [this](uint64_t bytes) {
-        return (bytes + config_.line_bytes - 1) / config_.line_bytes;
-    };
-    plan_ = InstallPlan{};
-    plan_.admission_lines =
-        ceil_lines(framed_.size()) + ceil_lines(base_framed_bytes_);
-    // stage/verify/load extents belong to the *reconstructed* bundle
-    // and are filled in by renderAdmission(); until then only the
-    // admission pass can run, and its count is final already.
-    plan_.attest = config_.attest;
-    slot_ = updater_.stagingSlot();
-
-    beginInstall(cycle);
+    // Stage/reverify/load extents belong to the *reconstructed*
+    // bundle and are filled in by renderAdmission(); until then only
+    // the admission pass can run, and its count is final already.
+    begin(InstallPlan{}.asDelta(framed_.size(), base_framed_bytes_,
+                                config().line_bytes),
+          cycle);
 }
 
 void
-LiveInstall::beginInstall(uint64_t cycle)
+LiveInstall::begin(const InstallPlan &plan, uint64_t cycle)
 {
+    const uint32_t line = config().line_bytes;
+
     // The stream must not land on top of the A/B slots: a silent
     // overlap would corrupt staged bytes mid-install. Checked here,
     // where the buffer's real extent is known.
-    const uint64_t transport_end =
-        config_.transport_base + framed_.size();
+    const uint64_t transport_end = kTransportBufferBase + framed_.size();
     const uint64_t staging_end =
         updater_.slotBase(1) + updater_.staging().slot_size;
-    fatal_if(config_.transport_base < staging_end &&
+    fatal_if(kTransportBufferBase < staging_end &&
                  transport_end > updater_.staging().base,
-             "transport buffer [", config_.transport_base, ", ",
+             "transport buffer [", kTransportBufferBase, ", ",
              transport_end, ") overlaps the A/B staging area");
 
-    const uint64_t transport_lines =
-        (framed_.size() + config_.line_bytes - 1) / config_.line_bytes;
+    const uint64_t transport_lines = util::ceilDiv(framed_.size(), line);
     line_missing_.assign(transport_lines, 0);
     line_ready_.assign(transport_lines, 0);
     for (uint64_t i = 0; i < transport_lines; ++i) {
-        const uint64_t begin = i * config_.line_bytes;
         line_missing_[i] = static_cast<uint32_t>(
-            std::min<uint64_t>(config_.line_bytes,
-                               framed_.size() - begin));
+            std::min<uint64_t>(line, framed_.size() - i * line));
     }
 
     // A matching journal record turns this into a resumed session:
@@ -130,40 +130,41 @@ LiveInstall::beginInstall(uint64_t cycle)
     // before the transport ever transmits them. A delta's stream
     // carries patch ops, not slot bytes — its journal resume applies
     // to the stage writes only, wired up after reconstruction.
+    slot_ = updater_.stagingSlot();
     std::vector<bool> held;
-    if (!delta_mode_) {
-        stage_line_resumed_.assign(plan_.stage_lines, 0);
-        held = resumeFromJournal(cycle);
-    } else {
-        stage_line_resumed_.clear();
-    }
+    stage_line_resumed_.clear();
+    if (!delta_mode_)
+        held = resumeFromJournal(plan.stage_lines, cycle);
     transport_.send(framed_, cycle, held);
 
-    phase_ = LiveInstallPhase::Admission;
-    phase_index_ = 0;
-    cursor_ = cycle;
-    started_at_ = cycle;
-    finished_at_ = cycle;
     activated_at_ = 0;
     staged_bytes_ = 0;
-    phase_started_at_ = cycle;
-    phase_cycles_.fill(0);
     admission_.reset();
     result_.reset();
     bundle_.reset();
+    InstallTiming::start(plan, cycle);
+}
+
+bool
+LiveInstall::markResumedLines(const std::vector<uint8_t> &payload,
+                              uint64_t stage_lines)
+{
+    stage_line_resumed_.assign(stage_lines, 0);
+    StagingJournal *journal = updater_.journal();
+    if (journal == nullptr ||
+        !journal->begin(slot_, sha256Digest(payload), payload.size(),
+                        config().line_bytes))
+        return false; // fresh session (different payload, or first try)
+    for (uint64_t i = 0; i < stage_lines; ++i)
+        stage_line_resumed_[i] = journal->chunkDone(slot_, i) ? 1 : 0;
+    return true;
 }
 
 std::vector<bool>
-LiveInstall::resumeFromJournal(uint64_t cycle)
+LiveInstall::resumeFromJournal(uint64_t stage_lines, uint64_t cycle)
 {
-    StagingJournal *journal = updater_.journal();
-    if (journal == nullptr)
+    if (!markResumedLines(framed_, stage_lines))
         return {};
-    if (!journal->begin(slot_, sha256Digest(framed_), framed_.size(),
-                        config_.line_bytes))
-        return {}; // fresh session (different payload, or first try)
-    for (uint64_t i = 0; i < plan_.stage_lines; ++i)
-        stage_line_resumed_[i] = journal->chunkDone(slot_, i) ? 1 : 0;
 
     // A transport chunk is held — never re-downloaded — iff every
     // slot line it overlaps was journaled complete. The device then
@@ -172,20 +173,20 @@ LiveInstall::resumeFromJournal(uint64_t cycle)
     // bytes flow through the same admission fetch/digest/parse as
     // fresh ones and a slot that rotted while powered off fails
     // verification exactly like a torn download.
-    const uint32_t chunk_bytes = config_.transport.chunk_bytes;
-    const uint64_t nchunks =
-        (framed_.size() + chunk_bytes - 1) / chunk_bytes;
+    const uint32_t line = config().line_bytes;
+    const uint32_t chunk_bytes = config().transport.chunk_bytes;
+    const uint64_t nchunks = util::ceilDiv(framed_.size(), chunk_bytes);
     std::vector<bool> held(nchunks, false);
     std::vector<uint8_t> copy;
     for (uint64_t c = 0; c < nchunks; ++c) {
         const uint64_t begin = c * chunk_bytes;
         const uint64_t end =
             std::min<uint64_t>(begin + chunk_bytes, framed_.size());
-        const uint64_t first = begin / config_.line_bytes;
-        const uint64_t last = (end - 1) / config_.line_bytes;
+        const uint64_t first = begin / line;
+        const uint64_t last = (end - 1) / line;
         bool complete = true;
-        for (uint64_t line = first; line <= last; ++line) {
-            if (stage_line_resumed_[line] == 0) {
+        for (uint64_t l = first; l <= last; ++l) {
+            if (stage_line_resumed_[l] == 0) {
                 complete = false;
                 break;
             }
@@ -196,47 +197,34 @@ LiveInstall::resumeFromJournal(uint64_t cycle)
         copy.resize(end - begin);
         system_.mainMemory().read(updater_.slotBase(slot_) + begin,
                                   copy.data(), copy.size());
-        system_.mainMemory().write(config_.transport_base + begin,
+        system_.mainMemory().write(kTransportBufferBase + begin,
                                    copy.data(), copy.size());
         // Book the held range as delivered, per overlapped line; a
         // line straddling a held and a missing chunk keeps exactly
         // its missing remainder, which the retransmitted neighbour
         // chunk covers without double-counting.
-        for (uint64_t line = first; line <= last; ++line) {
-            const uint64_t line_begin = line * config_.line_bytes;
+        for (uint64_t l = first; l <= last; ++l) {
+            const uint64_t line_begin = l * line;
             const uint64_t line_end =
-                std::min<uint64_t>(line_begin + config_.line_bytes,
-                                   framed_.size());
+                std::min<uint64_t>(line_begin + line, framed_.size());
             const uint64_t lo = std::max<uint64_t>(line_begin, begin);
             const uint64_t hi = std::min<uint64_t>(line_end, end);
             if (hi <= lo)
                 continue;
             const auto covered = static_cast<uint32_t>(hi - lo);
-            panic_if(line_missing_[line] < covered,
+            panic_if(line_missing_[l] < covered,
                      "journal resume double-covered a line");
-            line_missing_[line] -= covered;
-            line_ready_[line] = std::max(line_ready_[line], cycle);
+            line_missing_[l] -= covered;
+            line_ready_[l] = std::max(line_ready_[l], cycle);
         }
     }
     return held;
 }
 
 void
-LiveInstall::reset()
-{
-    if (trace_ != nullptr && !done())
-        trace_->instant(trace_track_, "power_cut_reset", cursor_);
-    phase_ = LiveInstallPhase::Idle;
-    phase_index_ = 0;
-    waiting_ = false;
-}
-
-void
 LiveInstall::setTraceSink(obs::TraceSink *sink)
 {
-    trace_ = sink;
-    if (sink != nullptr)
-        trace_track_ = sink->track("install");
+    InstallTiming::setTraceSink(sink);
     transport_.setTraceSink(sink);
     updater_.setTrace(sink);
 }
@@ -244,53 +232,45 @@ LiveInstall::setTraceSink(obs::TraceSink *sink)
 void
 LiveInstall::registerMetrics(obs::MetricsRegistry &reg) const
 {
-    static constexpr LiveInstallPhase kAccounted[] = {
-        LiveInstallPhase::Admission, LiveInstallPhase::Stage,
-        LiveInstallPhase::Reverify,  LiveInstallPhase::Load,
-        LiveInstallPhase::Attest,
-    };
-    for (const LiveInstallPhase phase : kAccounted) {
-        reg.counterFn(std::string("install.phase.") +
-                          liveInstallPhaseName(phase) + "_cycles",
-                      [this, phase] { return phaseCycles(phase); });
-    }
+    InstallTiming::registerMetrics(reg);
     reg.counterFn("install.staged_bytes",
                   [this] { return staged_bytes_; });
 }
 
-void
-LiveInstall::closePhaseSpan()
+uint64_t
+LiveInstall::phaseCycles(LiveInstallPhase phase) const
 {
-    if (phase_ == LiveInstallPhase::Idle ||
-        phase_ == LiveInstallPhase::Done ||
-        phase_ == LiveInstallPhase::Failed || cursor_ < phase_started_at_)
-        return;
-    phase_cycles_[static_cast<size_t>(phase_)] +=
-        cursor_ - phase_started_at_;
-    if (trace_ != nullptr) {
-        trace_->duration(trace_track_, liveInstallPhaseName(phase_),
-                         phase_started_at_, cursor_);
+    uint64_t cycles = 0;
+    for (size_t i = 0; i < kInstallSteps; ++i) {
+        const auto step = static_cast<InstallStep>(i);
+        if (phaseOf(step) == phase)
+            cycles += stepCycles(step);
     }
+    return cycles;
+}
+
+LiveInstallPhase
+LiveInstall::phase() const
+{
+    switch (state()) {
+      case State::Idle: return LiveInstallPhase::Idle;
+      case State::Running: return phaseOf(step());
+      case State::Done: return LiveInstallPhase::Done;
+      case State::Failed: return LiveInstallPhase::Failed;
+    }
+    panic("unknown install state");
 }
 
 void
-LiveInstall::enterPhase(LiveInstallPhase next)
+LiveInstall::pump(uint64_t cycle)
 {
-    closePhaseSpan();
-    phase_ = next;
-    phase_index_ = 0;
-    phase_started_at_ = cursor_;
-}
-
-void
-LiveInstall::pumpTransport(uint64_t cycle)
-{
+    const uint32_t line = config().line_bytes;
     for (ota::Transport::Chunk &chunk : transport_.poll(cycle)) {
         // Real bytes land in the untrusted transport buffer the
         // moment the link delivers them...
-        system_.mainMemory().write(
-            config_.transport_base + chunk.offset, chunk.bytes.data(),
-            chunk.bytes.size());
+        system_.mainMemory().write(kTransportBufferBase + chunk.offset,
+                                   chunk.bytes.data(),
+                                   chunk.bytes.size());
         // Step-lock bookkeeping: how much of each framed line is
         // still missing, and when it became complete. The DMA
         // engine's write for a line is charged exactly once — when
@@ -298,30 +278,26 @@ LiveInstall::pumpTransport(uint64_t cycle)
         // boundaries do not double-count bus traffic. The writes are
         // write-buffered: off the critical path until the buffer
         // saturates, like any other master's.
-        const uint64_t first = chunk.offset / config_.line_bytes;
-        const uint64_t last =
-            (chunk.offset + chunk.bytes.size() - 1) / config_.line_bytes;
-        for (uint64_t line = first; line <= last; ++line) {
-            const uint64_t line_begin = line * config_.line_bytes;
+        const uint64_t chunk_end = chunk.offset + chunk.bytes.size();
+        for (uint64_t l = chunk.offset / line; l <= (chunk_end - 1) / line;
+             ++l) {
+            const uint64_t line_begin = l * line;
             const uint64_t line_end =
-                std::min<uint64_t>(line_begin + config_.line_bytes,
-                                   framed_.size());
+                std::min<uint64_t>(line_begin + line, framed_.size());
             const uint64_t begin =
                 std::max<uint64_t>(line_begin, chunk.offset);
-            const uint64_t end = std::min<uint64_t>(
-                line_end, chunk.offset + chunk.bytes.size());
+            const uint64_t end = std::min<uint64_t>(line_end, chunk_end);
             if (end <= begin)
                 continue;
             const auto covered = static_cast<uint32_t>(end - begin);
-            panic_if(line_missing_[line] < covered,
+            panic_if(line_missing_[l] < covered,
                      "transport delivered the same bytes twice");
-            line_missing_[line] -= covered;
-            line_ready_[line] =
-                std::max(line_ready_[line], chunk.arrival_cycle);
-            if (line_missing_[line] == 0) {
+            line_missing_[l] -= covered;
+            line_ready_[l] = std::max(line_ready_[l], chunk.arrival_cycle);
+            if (line_missing_[l] == 0) {
                 system_.channel().enqueueWrite(
-                    line_ready_[line], mem::Traffic::UpdateWriteback,
-                    /*small=*/false, config_.transport_base + line_begin,
+                    line_ready_[l], mem::Traffic::UpdateWriteback,
+                    /*small=*/false, kTransportBufferBase + line_begin,
                     dma_agent_);
             }
         }
@@ -329,71 +305,78 @@ LiveInstall::pumpTransport(uint64_t cycle)
 }
 
 uint64_t
-LiveInstall::phaseItems(LiveInstallPhase phase) const
+LiveInstall::inputReadyAt(InstallStep step, uint64_t index) const
 {
-    switch (phase) {
-      case LiveInstallPhase::Admission:
-        // A delta admits fewer transport lines than it re-verifies
-        // (plus the base-slot readback); a full install admits
-        // exactly what it re-verifies.
-        return plan_.admissionLines();
-      case LiveInstallPhase::Reverify:
-        return plan_.verify_lines;
-      case LiveInstallPhase::Stage:
-        return plan_.stage_lines;
-      case LiveInstallPhase::Load:
-        return plan_.load_lines;
-      case LiveInstallPhase::Attest:
-        return plan_.attest && config_.attest_engine_ops != 0 ? 1 : 0;
-      default:
+    // Admission step-locks against the network: a transport line
+    // cannot be fetched before the network delivered its last byte.
+    // A delta's base-slot readback lines (issued first) are always
+    // resident, and re-verification reads the slot the machine
+    // wrote itself.
+    if (step != InstallStep::AdmissionRead ||
+        index < admissionBaseLines())
         return 0;
-    }
+    const uint64_t l = index - admissionBaseLines();
+    if (l >= line_missing_.size())
+        return 0;
+    return line_missing_[l] != 0 ? sim::kNeverCycle : line_ready_[l];
 }
 
 uint64_t
-LiveInstall::lineAddr(LiveInstallPhase phase, uint64_t index) const
+LiveInstall::lineAddr(InstallStep step, uint64_t index) const
 {
-    switch (phase) {
-      case LiveInstallPhase::Admission: {
+    const uint32_t line = config().line_bytes;
+    switch (step) {
+      case InstallStep::AdmissionRead: {
         // A delta admission's base-bundle readback leads: those
         // lines are already resident in the active slot, so hashing
         // them overlaps the (network-locked) delta stream instead of
         // serializing after it. The transport-stream lines follow.
         const uint64_t base_lines = admissionBaseLines();
-        if (index < base_lines) {
-            return updater_.slotBase(updater_.activeSlot()) +
-                   index * config_.line_bytes;
-        }
-        return config_.transport_base +
-               (index - base_lines) * config_.line_bytes;
+        if (index < base_lines)
+            return updater_.slotBase(updater_.activeSlot()) + index * line;
+        return kTransportBufferBase + (index - base_lines) * line;
       }
-      case LiveInstallPhase::Stage:
-      case LiveInstallPhase::Reverify:
-        return updater_.slotBase(slot_) + index * config_.line_bytes;
-      case LiveInstallPhase::Load: {
+      case InstallStep::StageWrite:
+      case InstallStep::ReverifyRead:
+        return updater_.slotBase(slot_) + index * line;
+      case InstallStep::LoadWrite: {
         // The image streams to its home region; its entry point
         // anchors the address for bank selection purposes.
-        const uint64_t base = bundle_.has_value()
-                                  ? util::alignDown(
-                                        bundle_->manifest.entry_point,
-                                        config_.line_bytes)
-                                  : 0;
-        return base + index * config_.line_bytes;
+        const uint64_t base =
+            bundle_.has_value()
+                ? util::alignDown(bundle_->manifest.entry_point, line)
+                : 0;
+        return base + index * line;
       }
       default:
-        panic("no line address in phase ", liveInstallPhaseName(phase));
+        panic("no line address in step ", installStepName(step));
     }
 }
 
-void
-LiveInstall::functionalStageLine(uint64_t index)
+bool
+LiveInstall::skipLine(InstallStep step, uint64_t index) const
 {
+    // Resumed lines already sit in the slot (journaled by a previous
+    // attempt): no write issued, no bytes counted.
+    return step == InstallStep::StageWrite &&
+           index < stage_line_resumed_.size() &&
+           stage_line_resumed_[index] != 0;
+}
+
+void
+LiveInstall::lineWritten(InstallStep step, uint64_t index)
+{
+    // The write moves the real bytes: a power cut now leaves exactly
+    // the lines written so far in the slot.
+    if (step != InstallStep::StageWrite)
+        return;
     const std::vector<uint8_t> &payload = slotPayload();
-    const uint64_t begin = index * config_.line_bytes;
+    const uint32_t line = config().line_bytes;
+    const uint64_t begin = index * line;
     if (begin >= payload.size())
         return;
     const uint64_t len =
-        std::min<uint64_t>(config_.line_bytes, payload.size() - begin);
+        std::min<uint64_t>(line, payload.size() - begin);
     system_.mainMemory().write(updater_.slotBase(slot_) + begin,
                                payload.data() + begin, len);
     staged_bytes_ += len;
@@ -404,333 +387,104 @@ LiveInstall::functionalStageLine(uint64_t index)
         journal->markChunk(slot_, index);
 }
 
-void
+bool
 LiveInstall::renderAdmission()
 {
     // The functional verdict is rendered over what the *network
     // actually delivered* into untrusted memory, not over the bundle
     // the caller handed to start(): parse the transport buffer back.
     std::vector<uint8_t> framed(framed_.size());
-    system_.mainMemory().read(config_.transport_base, framed.data(),
+    system_.mainMemory().read(kTransportBufferBase, framed.data(),
                               framed.size());
     const auto bundle_bytes = unframeBundleView(framed);
     if (!bundle_bytes.has_value()) {
         admission_ = VerifyResult{UpdateStatus::MalformedBundle,
                                   "transport stream framing damaged"};
-        return;
+        return false;
     }
-    if (delta_mode_) {
-        const auto delta = DeltaBundle::deserialize(*bundle_bytes);
-        if (!delta.has_value()) {
-            admission_ =
-                VerifyResult{UpdateStatus::MalformedBundle,
-                             "transport delta stream does not parse"};
-            return;
+    if (!delta_mode_) {
+        auto parsed = UpdateBundle::deserialize(*bundle_bytes);
+        if (!parsed.has_value()) {
+            admission_ = VerifyResult{UpdateStatus::MalformedBundle,
+                                      "transport stream does not parse"};
+            return false;
         }
-        auto rec =
-            updater_.reconstructDelta(*delta, system_.mainMemory());
-        admission_ = rec.result;
-        if (!admission_->ok())
-            return; // BaseMismatch here = "request the full bundle"
-        bundle_ = std::move(rec.bundle);
-        framed_slot_ = frameBundle(*bundle_);
-        // The reconstructed extent is known only now: fill in the
-        // stage/reverify/load line counts the remaining phases bill.
-        const bool attest = plan_.attest;
-        plan_ = InstallPlan::fromDelta(*delta, *bundle_,
-                                       base_framed_bytes_,
-                                       config_.line_bytes);
-        plan_.attest = attest;
-        // Open (or resume) the journal session over the slot payload
-        // the Stage phase is about to write.
-        stage_line_resumed_.assign(plan_.stage_lines, 0);
-        StagingJournal *journal = updater_.journal();
-        if (journal != nullptr &&
-            journal->begin(slot_, sha256Digest(framed_slot_),
-                           framed_slot_.size(), config_.line_bytes)) {
-            for (uint64_t i = 0; i < plan_.stage_lines; ++i) {
-                stage_line_resumed_[i] =
-                    journal->chunkDone(slot_, i) ? 1 : 0;
-            }
-        }
-        return;
+        admission_ = updater_.verify(*parsed);
+        if (admission_->ok())
+            bundle_ = std::move(parsed);
+        return admission_->ok();
     }
-    auto parsed = UpdateBundle::deserialize(*bundle_bytes);
-    if (!parsed.has_value()) {
+    const auto delta = DeltaBundle::deserialize(*bundle_bytes);
+    if (!delta.has_value()) {
         admission_ = VerifyResult{UpdateStatus::MalformedBundle,
-                                  "transport stream does not parse"};
-        return;
+                                  "transport delta stream does not parse"};
+        return false;
     }
-    admission_ = updater_.verify(*parsed);
-    if (admission_->ok())
-        bundle_ = std::move(parsed);
+    auto rec = updater_.reconstructDelta(*delta, system_.mainMemory());
+    admission_ = rec.result;
+    if (!admission_->ok())
+        return false; // BaseMismatch here = "request the full bundle"
+    bundle_ = std::move(rec.bundle);
+    framed_slot_ = frameBundle(*bundle_);
+    // The reconstructed extent is known only now: fill in the
+    // stage/reverify/load line counts the remaining steps bill, and
+    // open (or resume) the journal session over the slot payload the
+    // stage is about to write.
+    const InstallPlan plan =
+        InstallPlan::fromFramedBytes(framed_slot_.size(),
+                                     bundle_->image.totalBytes(),
+                                     config().line_bytes)
+            .asDelta(framed_.size(), base_framed_bytes_,
+                     config().line_bytes);
+    setPlan(plan);
+    markResumedLines(framed_slot_, plan.stage_lines);
+    return true;
 }
 
-void
-LiveInstall::finish(LiveInstallPhase terminal)
+bool
+LiveInstall::commit(InstallStep step)
 {
-    closePhaseSpan();
-    phase_ = terminal;
-    finished_at_ = cursor_;
-}
-
-void
-LiveInstall::completePhase()
-{
-    auto &engine = system_.cryptoEngine();
-    switch (phase_) {
-      case LiveInstallPhase::Admission: {
-        // Manifest signature check, then the functional verdict.
-        cursor_ = engine.reserve(cursor_, config_.signature_engine_ops);
-        updater_.setTraceCycle(cursor_);
-        renderAdmission();
-        if (!admission_->ok()) {
+    switch (step) {
+      case InstallStep::AdmissionSig:
+        // The manifest signature cleared: the functional verdict.
+        updater_.setTraceCycle(cursor());
+        if (!renderAdmission()) {
             result_ = InstallResult{admission_->status,
                                     admission_->detail, compartment_, 0,
                                     updater_.activeSlot()};
-            finish(LiveInstallPhase::Failed);
-            return;
+            return false;
         }
-        enterPhase(LiveInstallPhase::Stage);
-        return;
-      }
-      case LiveInstallPhase::Stage: {
+        return true;
+      case InstallStep::StageWrite: {
         // Every framed byte is in the slot; commit the functional
         // staged-pending state (stage() re-verifies, as the
         // functional plane always does, and rewrites the same
         // bytes).
-        updater_.setTraceCycle(cursor_);
+        updater_.setTraceCycle(cursor());
         const VerifyResult staged =
             updater_.stage(*bundle_, system_.mainMemory());
         if (!staged.ok()) {
             result_ = InstallResult{staged.status, staged.detail,
                                     compartment_, 0,
                                     updater_.activeSlot()};
-            finish(LiveInstallPhase::Failed);
-            return;
+            return false;
         }
-        enterPhase(LiveInstallPhase::Reverify);
-        return;
+        return true;
       }
-      case LiveInstallPhase::Reverify: {
-        // Staged-manifest signature re-check.
-        cursor_ = engine.reserve(cursor_, config_.signature_engine_ops);
-        enterPhase(LiveInstallPhase::Load);
-        return;
-      }
-      case LiveInstallPhase::Load: {
-        // Key capsule unwrap, then the atomic functional commit:
-        // this is the one cycle the new image becomes active.
-        cursor_ = engine.reserve(cursor_, config_.signature_engine_ops);
-        updater_.setTraceCycle(cursor_);
+      case InstallStep::CapsuleUnwrap:
+        // The key capsule is unwrapped: the atomic functional
+        // commit, the one cycle the new image becomes active.
+        updater_.setTraceCycle(cursor());
         result_ = updater_.activate(compartment_, system_.mainMemory(),
                                     system_.virtualMemory(),
-                                    config_.asid, system_.engine());
-        if (!result_->ok()) {
-            finish(LiveInstallPhase::Failed);
-            return;
-        }
-        activated_at_ = cursor_;
-        if (phaseItems(LiveInstallPhase::Attest) == 0) {
-            finish(LiveInstallPhase::Done);
-            return;
-        }
-        enterPhase(LiveInstallPhase::Attest);
-        return;
-      }
-      case LiveInstallPhase::Attest:
-        finish(LiveInstallPhase::Done);
-        return;
-      default:
-        panic("completePhase in phase ", liveInstallPhaseName(phase_));
-    }
-}
-
-bool
-LiveInstall::issueNext()
-{
-    auto &channel = system_.channel();
-    auto &engine = system_.cryptoEngine();
-    switch (phase_) {
-      case LiveInstallPhase::Admission:
-      case LiveInstallPhase::Reverify: {
-        // Admission step-locks against the network: a transport
-        // line cannot be fetched before the network delivered its
-        // last byte. A delta's base-slot readback lines (issued
-        // first) are always resident. Re-verification reads the slot
-        // the machine wrote itself.
-        uint64_t ready = cursor_;
-        if (phase_ == LiveInstallPhase::Admission &&
-            phase_index_ >= admissionBaseLines()) {
-            const uint64_t line = phase_index_ - admissionBaseLines();
-            if (line < line_missing_.size()) {
-                if (line_missing_[line] != 0)
-                    return false;
-                ready = std::max(cursor_, line_ready_[line]);
-            }
-        }
-        if (config_.pacing == InstallPacing::Arbiter) {
-            channel.requestBackground(ready, mem::Traffic::UpdateFill,
-                                      /*write=*/false, /*small=*/false,
-                                      lineAddr(phase_, phase_index_),
-                                      agent_);
-            waiting_ = true;
-            return true;
-        }
-        const uint64_t arrival = channel.scheduleRead(
-            ready, mem::Traffic::UpdateFill, /*small=*/false,
-            lineAddr(phase_, phase_index_), agent_);
-        cursor_ = engine.reserve(arrival);
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
+                                    kLiveImageAsid, system_.engine());
+        if (!result_->ok())
+            return false;
+        activated_at_ = cursor();
         return true;
-      }
-      case LiveInstallPhase::Stage:
-      case LiveInstallPhase::Load: {
-        if (phase_ == LiveInstallPhase::Stage) {
-            // Resumed lines already sit in the slot (journaled by a
-            // previous attempt): no write issued, no bytes counted.
-            while (phase_index_ < phaseItems(phase_) &&
-                   phase_index_ < stage_line_resumed_.size() &&
-                   stage_line_resumed_[phase_index_] != 0)
-                ++phase_index_;
-            if (phase_index_ >= phaseItems(phase_)) {
-                completePhase();
-                return true;
-            }
-        }
-        if (config_.pacing == InstallPacing::Arbiter) {
-            channel.requestBackground(
-                cursor_, mem::Traffic::UpdateWriteback, /*write=*/true,
-                /*small=*/false, lineAddr(phase_, phase_index_),
-                agent_);
-            waiting_ = true;
-            return true;
-        }
-        channel.enqueueWrite(cursor_, mem::Traffic::UpdateWriteback,
-                             /*small=*/false,
-                             lineAddr(phase_, phase_index_), agent_);
-        if (phase_ == LiveInstallPhase::Stage)
-            functionalStageLine(phase_index_);
-        const uint32_t pace = channel.config().transfer_cycles;
-        cursor_ += pace ? pace : 1;
-        if (++phase_index_ >= phaseItems(phase_))
-            completePhase();
-        return true;
-      }
-      case LiveInstallPhase::Attest: {
-        cursor_ = engine.reserve(cursor_, config_.attest_engine_ops);
-        completePhase();
-        return true;
-      }
       default:
-        return false;
+        return true;
     }
-}
-
-void
-LiveInstall::completeGrant(uint64_t completion)
-{
-    switch (phase_) {
-      case LiveInstallPhase::Admission:
-      case LiveInstallPhase::Reverify:
-        // The line arrived; digest it (exclusive whole-line engine
-        // reservation, not the pipelined pad path).
-        cursor_ = system_.cryptoEngine().reserve(completion);
-        break;
-      case LiveInstallPhase::Stage:
-        // The granted write moves the real bytes: a power cut now
-        // leaves exactly the lines written so far in the slot.
-        functionalStageLine(phase_index_);
-        cursor_ = completion;
-        break;
-      case LiveInstallPhase::Load:
-        cursor_ = completion;
-        break;
-      default:
-        panic("arbiter grant in phase ", liveInstallPhaseName(phase_));
-    }
-    if (++phase_index_ >= phaseItems(phase_))
-        completePhase();
-}
-
-uint64_t
-LiveInstall::nextEventCycle(uint64_t now) const
-{
-    if (done())
-        return sim::kNeverCycle;
-    // Transport arrivals must be pumped promptly whatever else the
-    // install is doing: each completed line charges a DMA write at
-    // the first boundary past its arrival, exactly as the legacy
-    // every-step pump does.
-    uint64_t wake = transport_.nextArrivalCycle();
-    if (waiting_) {
-        if (system_.channel().backgroundGrantReady(agent_))
-            return now;
-        wake = std::min(wake,
-                        system_.channel().nextArbiterEventCycle());
-    } else if (phase_ == LiveInstallPhase::Admission &&
-               phase_index_ >= admissionBaseLines() &&
-               phase_index_ - admissionBaseLines() <
-                   line_missing_.size() &&
-               line_missing_[phase_index_ - admissionBaseLines()] !=
-                   0) {
-        // Blocked on the network: only a chunk arrival (the wake
-        // above) can unblock issueNext().
-    } else {
-        wake = std::min(wake, cursor_);
-    }
-    return wake;
-}
-
-void
-LiveInstall::advance(uint64_t cycle)
-{
-    if (done())
-        return;
-    pumpTransport(cycle);
-    while (!done()) {
-        if (waiting_) {
-            const auto granted =
-                system_.channel().pollBackground(agent_, cycle);
-            if (!granted.has_value())
-                return;
-            waiting_ = false;
-            completeGrant(*granted);
-            continue;
-        }
-        if (cursor_ > cycle)
-            return;
-        if (!issueNext())
-            return; // blocked on transport delivery
-    }
-}
-
-uint64_t
-LiveInstall::replay()
-{
-    fatal_if(phase_ == LiveInstallPhase::Idle, "nothing to replay");
-    const mem::ChannelConfig &channel_config =
-        system_.channel().config();
-    uint64_t now = cursor_;
-    while (!done()) {
-        advance(now);
-        if (done())
-            break;
-        // Idle machine: jump the clock to whatever unblocks us — the
-        // next arbiter grant window, or the next transport arrival.
-        uint64_t next = std::max(now, cursor_);
-        if (waiting_) {
-            next = std::max(next, system_.channel().busyUntil()) +
-                   channel_config.transfer_cycles + 1;
-        } else {
-            next += config_.transport.cycles_per_chunk;
-        }
-        panic_if(next <= now, "idle replay is stuck at cycle ", now,
-                 " in phase ", liveInstallPhaseName(phase_));
-        now = next;
-    }
-    return finished_at_;
 }
 
 } // namespace secproc::update

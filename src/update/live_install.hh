@@ -4,29 +4,29 @@
  * cycles.
  *
  * The functional UpdateEngine proves *correctness* (verify → stage →
- * re-verify → activate over real bytes, zero cycles) and
- * InstallTiming replays *cycles* (channel transactions and engine
- * reservations, no bytes). LiveInstall fuses them: a
- * sim::BackgroundAgent that drives the functional state machine
- * step-locked to cycle-plane demand, so a single System::run()
- * advances both planes together and the A/B slot contents are
- * checkable at any cycle:
+ * re-verify → activate over real bytes, zero cycles) and the install
+ * pipeline (install_timing.hh) replays *cycles* (channel transactions
+ * and engine reservations). LiveInstall is that pipeline with a
+ * functional payload: it derives from InstallTiming and supplies
+ * only what bytes add — the transport, the addresses the lines live
+ * at, the slot writes and the functional commits — so a single
+ * System::run() advances both planes together and the A/B slot
+ * contents are checkable at any cycle:
  *
  *  1. transport: the framed bundle arrives as a lossy chunk stream
  *     (ota::Transport — bandwidth cap, burst loss, reordering,
  *     retransmits). Each arrived chunk lands its real bytes in the
  *     untrusted transport buffer and is accounted as DMA write
  *     traffic on the channel;
- *  2. admission: each transport-buffer line is fetched (through the
- *     channel, arbiter- or fixed-paced) and digested (an exclusive
- *     engine reservation) — a line cannot be read before the network
- *     delivered it. When the last line is digested, the bundle is
- *     parsed *from the transport buffer bytes* and
+ *  2. admission: each transport-buffer line is fetched and digested
+ *     step-locked to the network — a line cannot be read before the
+ *     network delivered it. Once the signature check clears, the
+ *     bundle is parsed *from the transport buffer bytes* and
  *     UpdateEngine::verify() renders the functional admission
  *     verdict; a refusal ends the install with no state change;
  *  3. stage: the framed bundle streams into the inactive A/B slot —
- *     each granted write moves that line's real bytes, so a power
- *     cut mid-stage leaves a genuinely torn slot for activation to
+ *     each write moves that line's real bytes, so a power cut
+ *     mid-stage leaves a genuinely torn slot for activation to
  *     refuse. At completion UpdateEngine::stage() commits the
  *     staged-pending state (re-verifying, as the functional plane
  *     always does);
@@ -47,10 +47,8 @@
 #ifndef SECPROC_UPDATE_LIVE_INSTALL_HH
 #define SECPROC_UPDATE_LIVE_INSTALL_HH
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -61,49 +59,26 @@
 #include "update/install_timing.hh"
 #include "update/manifest.hh"
 #include "update/update_engine.hh"
+#include "util/bitops.hh"
 
 namespace secproc::update
 {
 
-/** Knobs of a live install. */
-struct LiveInstallConfig
-{
-    /** L2 line size; one channel transaction per line. */
-    uint32_t line_bytes = 128;
+/** Knobs of a live install: the pipeline's (line size, pacing,
+ *  downlink). */
+using LiveInstallConfig = InstallTimingConfig;
 
-    /** How channel transactions contend with the foreground. */
-    InstallPacing pacing = InstallPacing::Arbiter;
+/** Untrusted buffer the OTA stream lands in (disjoint from the A/B
+ *  staging area). */
+inline constexpr uint64_t kTransportBufferBase = 0x6000'0000;
 
-    /** Untrusted buffer the OTA stream lands in (disjoint from the
-     *  A/B staging area). */
-    uint64_t transport_base = 0x6000'0000;
-
-    /** Engine reservation (line ops) per signature check / unwrap. */
-    uint32_t signature_engine_ops = 16;
-
-    /** Engine reservation for the attestation quote (timing only). */
-    uint32_t attest_engine_ops = 16;
-
-    /** Issue the attestation reservation after activation. */
-    bool attest = true;
-
-    /** Downlink model for the inbound bundle. */
-    ota::TransportConfig transport;
-
-    /** Channel-agent name for the install's own transactions. */
-    std::string agent_name = "live_installer";
-
-    /** Channel-agent name for the transport DMA's writes. */
-    std::string dma_agent_name = "ota_dma";
-
-    /** ASID the activated image is loaded under. */
-    mem::Asid asid = 1;
-};
+/** ASID a live install loads the activated image under. */
+inline constexpr mem::Asid kLiveImageAsid = 1;
 
 /** Where a live install currently stands. */
 enum class LiveInstallPhase
 {
-    Idle,          ///< nothing started or a previous install finished
+    Idle,          ///< nothing started, or reset mid-install
     Admission,     ///< transport + per-line fetch/digest + verify
     Stage,         ///< framed bundle streaming into the A/B slot
     Reverify,      ///< staged lines re-read and re-digested
@@ -121,7 +96,7 @@ const char *liveInstallPhaseName(LiveInstallPhase phase);
  * cycle plane of a System. Not owned by the System: attach with
  * System::attachAgent and keep it alive across the runs it paces.
  */
-class LiveInstall : public sim::BackgroundAgent
+class LiveInstall : public InstallTiming
 {
   public:
     /**
@@ -161,54 +136,23 @@ class LiveInstall : public sim::BackgroundAgent
      */
     void startDelta(const DeltaBundle &delta, uint64_t cycle);
 
-    // BackgroundAgent interface.
-    void advance(uint64_t cycle) override;
-    uint64_t nextEventCycle(uint64_t now) const override;
-    bool done() const override
-    {
-        return phase_ == LiveInstallPhase::Idle ||
-               phase_ == LiveInstallPhase::Done ||
-               phase_ == LiveInstallPhase::Failed;
-    }
-
     /**
-     * Power cut / machine reset: abandon the install in flight.
-     * Functional side effects up to this cycle (delivered transport
-     * bytes, partially staged slot, or — past the activation point —
-     * the committed new image) stay exactly as they are; no further
-     * work is issued. Pair with System::reset(), which drops the
-     * channel-side queued request and calls this hook.
-     */
-    void reset() override;
-
-    /**
-     * Trace the install onto @p sink (nullptr detaches): an
-     * "install" track carries one span per phase (admission, stage,
-     * reverify, load, attest) plus a power-cut instant, and the sink
-     * propagates to the transport's "ota" track and the functional
-     * engine's security-decision instants. Inherited automatically
-     * from System::setTraceSink when the agent is attached.
+     * Trace the install onto @p sink (nullptr detaches): the
+     * pipeline's "install" track, the transport's "ota" track and
+     * the functional engine's security-decision instants. Inherited
+     * automatically from System::setTraceSink when attached.
      */
     void setTraceSink(obs::TraceSink *sink) override;
 
-    /**
-     * Register per-phase cycle accounting ("install.phase.<name>_
-     * cycles") and staged-byte progress with @p reg.
-     */
-    void registerMetrics(obs::MetricsRegistry &reg) const;
+    /** The install.* family plus "install.staged_bytes". */
+    void registerMetrics(obs::MetricsRegistry &reg) const override;
 
-    /** Cycles spent in @p phase across this install so far. */
-    uint64_t phaseCycles(LiveInstallPhase phase) const
-    {
-        return phase_cycles_[static_cast<size_t>(phase)];
-    }
-
-    /** Run the install to completion on an otherwise idle machine.
-     *  @return the cycle the install finished (or failed). */
-    uint64_t replay();
+    /** Cycles spent in @p phase (the sum of its steps) across this
+     *  install so far. */
+    uint64_t phaseCycles(LiveInstallPhase phase) const;
 
     /** Current phase. */
-    LiveInstallPhase phase() const { return phase_; }
+    LiveInstallPhase phase() const;
 
     /** Functional admission verdict, once rendered. */
     const std::optional<VerifyResult> &admission() const
@@ -226,7 +170,7 @@ class LiveInstall : public sim::BackgroundAgent
     uint64_t activatedAt() const { return activated_at_; }
 
     /** Cycles from start() to Done/Failed. */
-    uint64_t installCycles() const { return finished_at_ - started_at_; }
+    uint64_t installCycles() const { return lastInstallCycles(); }
 
     /** Framed-bundle bytes functionally written to the slot so far. */
     uint64_t stagedBytesWritten() const { return staged_bytes_; }
@@ -234,25 +178,28 @@ class LiveInstall : public sim::BackgroundAgent
     /** Transport stream statistics. */
     const ota::Transport &transport() const { return transport_; }
 
-    /** Channel agent the install's own traffic is attributed to. */
-    mem::AgentId agent() const { return agent_; }
-
     /** Channel agent the transport DMA's writes are attributed to. */
     mem::AgentId dmaAgent() const { return dma_agent_; }
 
   private:
-    LiveInstallConfig config_;
+    // The payload the pipeline runs on.
+    void pump(uint64_t cycle) override;
+    uint64_t wakeCycle() const override
+    {
+        return transport_.nextArrivalCycle();
+    }
+    uint64_t inputReadyAt(InstallStep step,
+                          uint64_t index) const override;
+    uint64_t lineAddr(InstallStep step, uint64_t index) const override;
+    bool skipLine(InstallStep step, uint64_t index) const override;
+    void lineWritten(InstallStep step, uint64_t index) override;
+    bool commit(InstallStep step) override;
+
     sim::System &system_;
     UpdateEngine &updater_;
     secure::CompartmentId compartment_;
     ota::Transport transport_;
-    mem::AgentId agent_;
     mem::AgentId dma_agent_;
-
-    LiveInstallPhase phase_ = LiveInstallPhase::Idle;
-    uint64_t phase_index_ = 0; ///< lines issued in the current phase
-    uint64_t cursor_ = 0;      ///< completion cycle of the last action
-    bool waiting_ = false;     ///< a channel request is in flight
 
     std::vector<uint8_t> framed_;  ///< transport stream: magic|len|bytes
     /** Bytes the Stage phase writes into the slot. For a full
@@ -264,7 +211,6 @@ class LiveInstall : public sim::BackgroundAgent
     /** Framed extent of the base bundle in the active slot (delta
      *  admission readback cost; 0 when the header is unreadable). */
     uint64_t base_framed_bytes_ = 0;
-    InstallPlan plan_;             ///< line counts derived from framed_
     uint32_t slot_ = 0;            ///< slot this install stages into
     /** Undelivered bytes per *transport* line (network step-lock);
      *  sized by the transport stream, not the slot payload. */
@@ -281,49 +227,16 @@ class LiveInstall : public sim::BackgroundAgent
 
     std::optional<VerifyResult> admission_;
     std::optional<InstallResult> result_;
-    uint64_t started_at_ = 0;
-    uint64_t finished_at_ = 0;
     uint64_t activated_at_ = 0;
 
-    /** Cycle the current phase was entered (span start). */
-    uint64_t phase_started_at_ = 0;
-    /** Cycles spent per phase, indexed by LiveInstallPhase. */
-    std::array<uint64_t, 8> phase_cycles_{};
-
-    obs::TraceSink *trace_ = nullptr;
-    obs::TrackId trace_track_ = 0;
-
-    /** Pump transport arrivals up to @p cycle into memory. */
-    void pumpTransport(uint64_t cycle);
-
-    /** Issue the next transaction/reservation if its inputs are
-     *  ready; false when blocked on transport delivery. */
-    bool issueNext();
-
-    /** Fold a granted channel transaction back into the pipeline. */
-    void completeGrant(uint64_t completion);
-
-    /** Per-phase functional commit once its last item drains. */
-    void completePhase();
-
-    void finish(LiveInstallPhase terminal);
-
-    /**
-     * Close the running phase's span (accumulate its cycles, emit
-     * its trace duration) and enter @p next at the cursor.
-     */
-    void enterPhase(LiveInstallPhase next);
-    void closePhaseSpan();
-
-    uint64_t phaseItems(LiveInstallPhase phase) const;
-    uint64_t lineAddr(LiveInstallPhase phase, uint64_t index) const;
-    void functionalStageLine(uint64_t index);
-    void renderAdmission();
+    /** The admission verdict (and, for a delta, the re-plan over the
+     *  reconstructed bundle); false refuses the install. */
+    bool renderAdmission();
 
     /** Shared tail of start()/startDelta(): overlap check, transport
-     *  line bookkeeping, journal resume, transport send, state
-     *  reset. Expects framed_/plan_/slot_/delta_mode_ set. */
-    void beginInstall(uint64_t cycle);
+     *  line bookkeeping, journal resume, transport send, then the
+     *  pipeline's start. Expects framed_/delta_mode_ set. */
+    void begin(const InstallPlan &plan, uint64_t cycle);
 
     /** The bytes the Stage phase writes (framed_ or framed_slot_). */
     const std::vector<uint8_t> &slotPayload() const
@@ -336,14 +249,20 @@ class LiveInstall : public sim::BackgroundAgent
      *  network-locked transport lines so they overlap the download. */
     uint64_t admissionBaseLines() const
     {
-        return (base_framed_bytes_ + config_.line_bytes - 1) /
-               config_.line_bytes;
+        return util::ceilDiv(base_framed_bytes_, config().line_bytes);
     }
+
+    /** Mark the slot lines @p payload's journal record proves
+     *  staged (stage_line_resumed_, sized @p stage_lines); false for
+     *  a fresh session. */
+    bool markResumedLines(const std::vector<uint8_t> &payload,
+                          uint64_t stage_lines);
 
     /** Journal-driven resume: mark resumed slot lines, pre-fill the
      *  transport buffer from the slot, and return the held-chunk map
      *  for the resume-aware transport send. */
-    std::vector<bool> resumeFromJournal(uint64_t cycle);
+    std::vector<bool> resumeFromJournal(uint64_t stage_lines,
+                                        uint64_t cycle);
 };
 
 } // namespace secproc::update

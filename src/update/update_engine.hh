@@ -102,8 +102,9 @@ struct InstallResult
 
 /**
  * Bytes of framing (magic + length) ahead of a staged bundle in its
- * slot. Shared with the cycle-plane InstallTiming so its line counts
- * track the real staged footprint.
+ * slot. Every framed size includes it, so the install pipeline's
+ * plans (InstallPlan::fromFramedBytes) bill the real staged
+ * footprint.
  */
 inline constexpr uint64_t kSlotHeaderBytes = 12;
 

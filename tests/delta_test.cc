@@ -10,7 +10,8 @@
  * shipping-size win deltas exist for, BaseMismatch as a clean
  * fall-back-to-full signal (never a crash), tampered patch ops dying
  * at the signed-manifest checks, the serializer-derived framed-size
- * gate, and the staging journal's resume semantics.
+ * gate, the staging journal's resume semantics, and per-phase cycle
+ * accounting that adds up to the whole install on every path.
  */
 
 #include <gtest/gtest.h>
@@ -588,6 +589,60 @@ TEST(Delta, LiveBaseMismatchFailsSoCallerCanFallBack)
     rig.live->start(pair.next, rig.system->core().cycles());
     ASSERT_TRUE(rig.runToCompletion());
     EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+}
+
+/** The five live phases' cycles add up to the whole install. */
+void
+expectPhasesSumToInstall(const LiveInstall &live)
+{
+    uint64_t sum = 0;
+    for (const LiveInstallPhase phase :
+         {LiveInstallPhase::Admission, LiveInstallPhase::Stage,
+          LiveInstallPhase::Reverify, LiveInstallPhase::Load,
+          LiveInstallPhase::Attest})
+        sum += live.phaseCycles(phase);
+    EXPECT_GT(live.installCycles(), 0u);
+    EXPECT_EQ(sum, live.installCycles())
+        << "phase " << liveInstallPhaseName(live.phase());
+}
+
+TEST(Delta, PhaseCyclesSumToInstallCycles)
+{
+    KeyRing ring(0xDE183);
+    const ReleasePair pair = makePair(ring, 16ull << 10, 0.10, 0xB4);
+
+    // Admission-refused: a delta against a device with no base.
+    LiveRig rig(ring);
+    rig.live->startDelta(pair.delta, 0);
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
+    EXPECT_EQ(rig.live->phaseCycles(LiveInstallPhase::Stage), 0u);
+    expectPhasesSumToInstall(*rig.live);
+
+    // A full install, then a delta against it.
+    rig.live->start(pair.base, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    expectPhasesSumToInstall(*rig.live);
+    rig.live->startDelta(pair.delta, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    expectPhasesSumToInstall(*rig.live);
+
+    // A journal-resumed install: cut power mid-stage, then re-attempt
+    // the same bundle on the rebooted machine.
+    LiveRig cut(ring);
+    cut.live->start(pair.base, 0);
+    while (cut.live->stagedBytesWritten() == 0 && !cut.live->done())
+        cut.system->run(100);
+    ASSERT_FALSE(cut.live->done()) << "the cut must land mid-stage";
+    cut.system->reset();
+    cut.live->start(pair.base, cut.system->core().cycles());
+    ASSERT_TRUE(cut.runToCompletion());
+    ASSERT_EQ(cut.live->phase(), LiveInstallPhase::Done);
+    EXPECT_GT(cut.live->transport().chunksSkipped(), 0u)
+        << "the re-attempt must resume, not restart";
+    expectPhasesSumToInstall(*cut.live);
 }
 
 } // namespace

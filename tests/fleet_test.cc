@@ -1,8 +1,8 @@
 /**
  * @file
- * Fleet-scale staged-rollout tests: exactness of the lightweight
- * download model against the real transport, ground-truth agreement
- * of the install cost model, canary halt + rollback mechanics,
+ * Fleet-scale staged-rollout tests: the shared OTA schedule and the
+ * calibrated cost models pinned, ground-truth agreement of the
+ * install cost model, canary halt + rollback mechanics,
  * thread-count determinism, and a million-device convergence run.
  */
 
@@ -39,32 +39,47 @@ threadedRunner(unsigned threads)
 
 } // namespace
 
-// The lightweight download model claims *exactness*: same RNG draw
-// sequence as ota::Transport::send, so the completion cycle equals
-// completionCycle() for every link class and seed. Everything the
-// fleet predicts sits on this invariant.
-TEST(FleetDevice, DownloadModelMatchesTransportExactly)
+// The fleet's downloads and ota::Transport run one schedule routine
+// (ota::scheduleArrivals). Pin one lossy schedule per link class at
+// the values recorded before the fleet's draw-for-draw replica was
+// folded into it, through both the real transport and the fleet's
+// clean-install prediction (a zero cost model predicts exactly the
+// download, which the fleet starts at cycle 0).
+TEST(FleetDevice, LinkSchedulesArePinned)
 {
+    struct Case
+    {
+        LinkClass link;
+        uint64_t seed;
+        uint64_t completion;
+        uint64_t sent;
+        uint64_t lost;
+        uint64_t reordered;
+        uint64_t retransmit_passes;
+    };
+    const Case cases[] = {
+        {LinkClass::Fiber, 15, 2'336'321, 42, 2, 0, 1},
+        {LinkClass::Broadband, 6, 26'720'321, 42, 2, 1, 1},
+        {LinkClass::Cellular, 1, 748'000'321, 56, 16, 1, 3},
+    };
     const uint64_t payload_bytes = 40'000;
-    for (const LinkClass link : {LinkClass::Fiber,
-                                 LinkClass::Broadband,
-                                 LinkClass::Cellular}) {
-        for (uint64_t seed = 1; seed <= 8; ++seed) {
-            ota::TransportConfig config = linkTransport(link);
-            config.seed = mixSeed(0xD0D0, seed);
+    for (const Case &c : cases) {
+        ota::TransportConfig config = linkTransport(c.link);
+        config.seed = mixSeed(0xD0D0, c.seed);
 
-            const DownloadSim sim =
-                simulateDownload(config, payload_bytes, 321);
+        ota::Transport transport(config);
+        transport.send(std::vector<uint8_t>(payload_bytes), 321);
+        EXPECT_EQ(transport.completionCycle(), c.completion)
+            << linkClassName(c.link);
+        EXPECT_EQ(transport.chunksSent(), c.sent);
+        EXPECT_EQ(transport.chunksLost(), c.lost);
+        EXPECT_EQ(transport.chunksReordered(), c.reordered);
+        EXPECT_EQ(transport.retransmitPasses(), c.retransmit_passes);
 
-            ota::Transport transport(config);
-            transport.send(std::vector<uint8_t>(payload_bytes),
-                           321);
-            EXPECT_EQ(sim.completion_cycle,
-                      transport.completionCycle())
-                << linkClassName(link) << " seed " << seed;
-            EXPECT_EQ(sim.chunks_sent, transport.chunksSent());
-            EXPECT_EQ(sim.chunks_lost, transport.chunksLost());
-        }
+        EXPECT_EQ(predictCleanInstallCycles(InstallCostModel{}, config,
+                                            payload_bytes),
+                  c.completion - 321)
+            << linkClassName(c.link);
     }
 }
 
@@ -86,6 +101,30 @@ TEST(FleetDevice, TraitsArePureAndInDistributionRange)
         EXPECT_GE(a.power_cut_rate, 0.0);
         EXPECT_LT(a.power_cut_rate, dist.max_power_cut_rate);
     }
+}
+
+// Calibration replays each release's plan through the one install
+// pipeline on a bare channel and engine. Pin the cost models at the
+// values recorded before the pipeline absorbed LiveInstall's phase
+// machine: {admission read, admission signature, post-admission}.
+TEST(FleetVendor, CalibratedCostModelsArePinned)
+{
+    VendorConfig config;
+    config.image_bytes = 8 << 10;
+    VendorService vendor(config);
+    vendor.publish(1, 1, 1);
+    const ReleaseInfo &release = vendor.publish(2, 2, 2, -1, 0.0, 0, 1);
+
+    const auto expect = [](const InstallCostModel &cost, uint64_t read,
+                           uint64_t sig, uint64_t post) {
+        EXPECT_EQ(cost.admission_read_cycles, read);
+        EXPECT_EQ(cost.admission_sig_cycles, sig);
+        EXPECT_EQ(cost.post_admission_cycles, post);
+    };
+    expect(release.cost(50), 10'200, 800, 14'712);
+    expect(release.cost(102), 13'736, 1'632, 20'744);
+    expect(release.deltaCost(50), 12'000, 800, 14'712);
+    expect(release.deltaCost(102), 16'160, 1'632, 20'744);
 }
 
 TEST(FleetVendor, QuirkGateAndLedger)

@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the cycle-plane install replay: plan derivation from
- * real bundles, idle-machine replay timing, and — the point of the
- * whole subsystem — foreground interference that scales with the
- * crypto engine's latency because install and workload share one
- * engine and one memory channel.
+ * Tests for the cycle-plane install pipeline: plan derivation from
+ * real bundles, idle-machine replay timing (pinned), per-step cycle
+ * accounting, and — the point of the whole subsystem — foreground
+ * interference that scales with the crypto engine's latency because
+ * install and workload share one engine and one memory channel.
  */
 
 #include <gtest/gtest.h>
 
 #include "crypto/latency.hh"
+#include "obs/metrics.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
 #include "update/image_builder.hh"
@@ -129,10 +130,76 @@ TEST(InstallTiming, ReplayMovesAttributedTraffic)
 
     // Digest per verified line + three signature-class reservations
     // (admission, re-verify, capsule unwrap) + the attestation quote.
-    const InstallTimingConfig config = timingConfig();
     EXPECT_EQ(engine.reservedOperations(),
-              2 * plan.verify_lines + 3 * config.signature_engine_ops +
-                  config.attest_engine_ops);
+              2 * plan.verify_lines + 3 * kSignatureEngineOps +
+                  kAttestEngineOps);
+}
+
+TEST(InstallTiming, IdleReplayCyclesArePinned)
+{
+    // Completion cycles of the idle paper machine's replay, recorded
+    // before LiveInstall and InstallTiming shared one phase machine
+    // and one replay loop: merging them must not move a cycle. An
+    // idle bus grants every arbiter request at once, so both pacings
+    // land on the same cycle with no stall.
+    struct Case
+    {
+        uint64_t image_bytes;
+        uint32_t latency;
+        uint64_t cycles;
+    };
+    const Case cases[] = {
+        {256ull << 10, crypto::kPaperCryptoLatency, 683'452},
+        {256ull << 10, crypto::kStrongCipherLatency, 899'876},
+        {2ull << 20, crypto::kPaperCryptoLatency, 5'443'004},
+        {2ull << 20, crypto::kStrongCipherLatency, 7'150'372},
+    };
+    const sim::SystemConfig machine =
+        sim::paperConfig(secure::SecurityModel::OtpSnc);
+    for (const Case &c : cases) {
+        for (const InstallPacing pacing :
+             {InstallPacing::Fixed, InstallPacing::Arbiter}) {
+            mem::MemoryChannel channel(machine.channel);
+            crypto::CryptoEngineConfig engine_config =
+                machine.protection.crypto;
+            engine_config.latency = c.latency;
+            crypto::CryptoEngineModel engine(engine_config);
+            InstallTimingConfig config = timingConfig();
+            config.pacing = pacing;
+            InstallTiming timing(config, channel, engine);
+            timing.start(InstallPlan::fromImageBytes(c.image_bytes, kLine),
+                         0);
+            EXPECT_EQ(timing.replay(), c.cycles)
+                << (c.image_bytes >> 10) << "KB c" << c.latency << " "
+                << installPacingName(pacing);
+            EXPECT_EQ(channel.agentStallCycles(timing.agent()), 0u);
+        }
+    }
+}
+
+TEST(InstallTiming, StepCyclesSumToTheInstall)
+{
+    mem::MemoryChannel channel{mem::ChannelConfig{}};
+    crypto::CryptoEngineModel engine{crypto::CryptoEngineConfig{}};
+    InstallTiming timing(timingConfig(), channel, engine);
+    timing.start(InstallPlan::fromImageBytes(64 * kLine, kLine), 100);
+    const uint64_t end = timing.replay();
+
+    uint64_t sum = 0;
+    for (size_t i = 0; i < kInstallSteps; ++i)
+        sum += timing.stepCycles(static_cast<InstallStep>(i));
+    EXPECT_EQ(sum, end - 100);
+    EXPECT_EQ(timing.lastInstallCycles(), end - 100);
+    EXPECT_EQ(timing.stepCycles(InstallStep::AdmissionSig),
+              kSignatureEngineOps * crypto::kPaperCryptoLatency);
+
+    // The registered install.* family reads the same accounting.
+    obs::MetricsRegistry registry;
+    timing.registerMetrics(registry);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.u64("install.stage_write_cycles"),
+              timing.stepCycles(InstallStep::StageWrite));
+    EXPECT_EQ(snap.u64("install.completed"), 1u);
 }
 
 TEST(InstallTiming, AdvanceIsSelfPacedAndMonotonic)

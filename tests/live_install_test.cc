@@ -15,6 +15,7 @@
 
 #include "crypto/latency.hh"
 #include "exp/runner.hh"
+#include "obs/metrics.hh"
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
@@ -440,6 +441,45 @@ TEST(LiveInstall, ArbiterThrottlesBelowFixedPace)
             << ": the arbiter-paced install must undercut fixed "
                "pacing";
     }
+}
+
+TEST(LiveInstall, TwoInstallersOnOneChannelKeepDistinctNames)
+{
+    sim::SystemConfig config =
+        sim::paperConfig(secure::SecurityModel::OtpSnc);
+    sim::SyntheticWorkload workload(sim::benchmarkProfile("gcc"),
+                                    config.l2.line_size);
+    sim::System system(config, workload);
+
+    InstallTimingConfig itc;
+    itc.line_bytes = kLine;
+    InstallTiming timing(itc, system.channel(), system.cryptoEngine());
+    KeyRing ring(0x5EED);
+    secure::KeyTable update_keys;
+    RollbackStore rollback(64);
+    UpdateEngine updater(ring.vendor.publicKey(), ring.processor,
+                         update_keys, rollback,
+                         StagingConfig{kStagingBase, kSlotSize});
+    LiveInstall live(liveConfig(fastTransport()), system, updater, 1);
+
+    // Both installers carry the one installer name; the channel keeps
+    // the second distinguishable, and the DMA agent only exists for
+    // the payload, registered right after its installer.
+    const mem::MemoryChannel &channel = system.channel();
+    EXPECT_EQ(channel.agentName(timing.agent()), kInstallerAgentName);
+    EXPECT_NE(channel.agentName(live.agent()),
+              channel.agentName(timing.agent()));
+    EXPECT_EQ(live.dmaAgent(), live.agent() + 1);
+    EXPECT_EQ(channel.agentCount(), 4u);
+
+    // Per-agent metrics are keyed by those names: no collision.
+    obs::MetricsRegistry registry;
+    system.registerMetrics(registry);
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    EXPECT_EQ(snap.u64("channel.agent.installer.bytes"), 0u);
+    EXPECT_EQ(snap.u64("channel.agent." +
+                       channel.agentName(live.agent()) + ".bytes"),
+              0u);
 }
 
 TEST(LiveInstall, SystemResetDropsInFlightWork)
