@@ -95,52 +95,26 @@ mixSeed(uint64_t a, uint64_t b)
     return z == 0 ? 1 : z;
 }
 
-DeviceTraits
-deviceTraits(uint64_t fleet_seed, uint64_t device_id,
-             const FleetDistributions &dist)
+namespace
 {
-    util::Rng rng(mixSeed(fleet_seed, device_id));
 
-    DeviceTraits traits;
-    traits.seed = mixSeed(fleet_seed ^ 0xF1EE7DEC1CEull, device_id);
-
+/** The hardware-variant draw: the first draw of a device's traits
+ *  stream, shared by deviceTraits and deviceVariant. */
+uint32_t
+drawVariant(util::Rng &rng, const FleetDistributions &dist)
+{
     double weight_total = 0.0;
     for (const double w : dist.variant_weights)
         weight_total += w;
     fatal_if(weight_total <= 0.0, "fleet needs variant weights");
     double pick = rng.nextDouble() * weight_total;
-    traits.hw_variant =
-        static_cast<uint32_t>(dist.variant_weights.size()) - 1;
     for (size_t i = 0; i < dist.variant_weights.size(); ++i) {
         pick -= dist.variant_weights[i];
-        if (pick < 0.0) {
-            traits.hw_variant = static_cast<uint32_t>(i);
-            break;
-        }
+        if (pick < 0.0)
+            return static_cast<uint32_t>(i);
     }
-
-    traits.engine_latency =
-        rng.chance(dist.strong_cipher_fraction) ? 102u : 50u;
-
-    const double link = rng.nextDouble();
-    traits.link = link < dist.fiber_fraction ? LinkClass::Fiber
-                  : link < dist.fiber_fraction + dist.cellular_fraction
-                      ? LinkClass::Cellular
-                      : LinkClass::Broadband;
-
-    const double mix = rng.nextDouble();
-    traits.mix = mix < dist.idle_fraction ? WorkloadMix::Idle
-                 : mix < dist.idle_fraction + dist.heavy_fraction
-                     ? WorkloadMix::Heavy
-                     : WorkloadMix::Office;
-
-    traits.power_cut_rate =
-        rng.nextDouble() * dist.max_power_cut_rate;
-    return traits;
+    return static_cast<uint32_t>(dist.variant_weights.size()) - 1;
 }
-
-namespace
-{
 
 /** The one OTA schedule's visitor for a lightweight download: only
  *  the latest arrival matters (Transport::completionCycle()). */
@@ -183,6 +157,43 @@ attemptCycles(const InstallCostModel &cost, double factor,
 }
 
 } // namespace
+
+uint32_t
+deviceVariant(uint64_t fleet_seed, uint64_t device_id,
+              const FleetDistributions &dist)
+{
+    util::Rng rng(mixSeed(fleet_seed, device_id));
+    return drawVariant(rng, dist);
+}
+
+DeviceTraits
+deviceTraits(uint64_t fleet_seed, uint64_t device_id,
+             const FleetDistributions &dist)
+{
+    util::Rng rng(mixSeed(fleet_seed, device_id));
+
+    DeviceTraits traits;
+    traits.seed = mixSeed(fleet_seed ^ 0xF1EE7DEC1CEull, device_id);
+    traits.hw_variant = drawVariant(rng, dist);
+    traits.engine_latency =
+        rng.chance(dist.strong_cipher_fraction) ? 102u : 50u;
+
+    const double link = rng.nextDouble();
+    traits.link = link < dist.fiber_fraction ? LinkClass::Fiber
+                  : link < dist.fiber_fraction + dist.cellular_fraction
+                      ? LinkClass::Cellular
+                      : LinkClass::Broadband;
+
+    const double mix = rng.nextDouble();
+    traits.mix = mix < dist.idle_fraction ? WorkloadMix::Idle
+                 : mix < dist.idle_fraction + dist.heavy_fraction
+                     ? WorkloadMix::Heavy
+                     : WorkloadMix::Office;
+
+    traits.power_cut_rate =
+        rng.nextDouble() * dist.max_power_cut_rate;
+    return traits;
+}
 
 InstallSim
 simulateInstall(const DeviceTraits &traits,

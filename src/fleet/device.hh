@@ -147,12 +147,17 @@ struct FleetDistributions
 DeviceTraits deviceTraits(uint64_t fleet_seed, uint64_t device_id,
                           const FleetDistributions &dist);
 
+/** deviceTraits(...).hw_variant alone: the first draw of the same
+ *  stream, all the quirk-gate eligibility scan needs. */
+uint32_t deviceVariant(uint64_t fleet_seed, uint64_t device_id,
+                       const FleetDistributions &dist);
+
 /** splitmix64 of @p a ^ @p b; never returns 0 (Rng-safe). The same
  *  stream-splitting idiom exp::cellSeed uses for grid cells. */
 uint64_t mixSeed(uint64_t a, uint64_t b);
 
-/** Mutable per-device rollout state; kept to 16 bytes so a
- *  million-device fleet fits comfortably in memory. */
+/** Mutable per-device rollout state: 8 bytes, 8 MB for a million
+ *  devices. Traits are recomputed, never stored beside it. */
 struct DeviceState
 {
     /** Active image version (factory firmware is version 1). */
@@ -160,12 +165,8 @@ struct DeviceState
 
     /** Running a release whose post-reboot health check failed. */
     uint8_t failed_health = 0;
-
-    uint8_t reserved_[3] = {};
-
-    /** Completion cycle of the last successful install. */
-    uint64_t updated_at_cycle = 0;
 };
+static_assert(sizeof(DeviceState) == 8);
 
 /**
  * Calibrated cycle cost of one clean, uncontended install of a

@@ -237,6 +237,9 @@ FleetSimulator::FleetSimulator(const FleetConfig &config,
       vendor_(config.vendor)
 {
     fatal_if(config_.devices == 0, "fleet needs devices");
+    fatal_if(config_.devices > (uint64_t{1} << 32),
+             "fleet device ids are 32-bit: at most 2^32 devices, not ",
+             config_.devices);
     fatal_if(config_.shards == 0, "fleet needs at least one shard");
     totals_.policy = policy_;
     totals_.devices = config_.devices;
@@ -288,48 +291,37 @@ FleetSimulator::buildPopulation()
 {
     const uint64_t per = util::ceilDiv(config_.devices, config_.shards);
 
-    struct ShardOut
-    {
-        std::vector<uint32_t> eligible;
-        std::vector<DeviceTraits> traits;
-        uint64_t skipped = 0;
-    };
-    std::vector<ShardOut> shards(config_.shards);
-
+    // The quirk gate needs only each device's variant.
+    std::vector<std::vector<uint32_t>> shard_ids(config_.shards);
     runner_.forEach(config_.shards, [&](size_t s) {
-        const uint64_t begin = s * per;
-        const uint64_t end =
-            std::min(config_.devices, begin + per);
-        ShardOut &out = shards[s];
+        const uint64_t begin = std::min(config_.devices, s * per);
+        const uint64_t end = std::min(config_.devices, begin + per);
+        std::vector<uint32_t> &ids = shard_ids[s];
+        ids.reserve(end - begin);
         for (uint64_t id = begin; id < end; ++id) {
-            DeviceTraits traits = deviceTraits(
-                config_.fleet_seed, id, config_.dist);
-            if (!vendor_.offersVariant(traits.hw_variant)) {
-                ++out.skipped;
-                continue;
-            }
-            out.eligible.push_back(static_cast<uint32_t>(id));
-            out.traits.push_back(traits);
+            if (vendor_.offersVariant(deviceVariant(
+                    config_.fleet_seed, id, config_.dist)))
+                ids.push_back(static_cast<uint32_t>(id));
         }
     });
 
     // Shard s covers a contiguous id range, so appending in shard
     // order keeps eligible_ in device-id order.
-    for (const ShardOut &out : shards) {
-        eligible_.insert(eligible_.end(), out.eligible.begin(),
-                         out.eligible.end());
-        traits_.insert(traits_.end(), out.traits.begin(),
-                       out.traits.end());
-        totals_.skipped_no_quirk += out.skipped;
-    }
-    totals_.eligible = eligible_.size();
+    size_t eligible = 0;
+    for (const std::vector<uint32_t> &ids : shard_ids)
+        eligible += ids.size();
+    eligible_.reserve(eligible);
+    for (const std::vector<uint32_t> &ids : shard_ids)
+        eligible_.insert(eligible_.end(), ids.begin(), ids.end());
+    totals_.eligible = eligible;
+    totals_.skipped_no_quirk = config_.devices - eligible;
     states_.assign(config_.devices, DeviceState{});
 }
 
 WaveStats
 FleetSimulator::runWave(uint32_t index, const std::string &kind,
                         const ReleaseInfo &release,
-                        const std::vector<uint32_t> &members,
+                        std::span<const uint32_t> ids,
                         uint64_t open_cycle)
 {
     WaveStats wave;
@@ -338,11 +330,10 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
     wave.release = release.version;
     wave.open_cycle = open_cycle;
     wave.close_cycle = open_cycle;
-    wave.offered = members.size();
+    wave.offered = ids.size();
 
     struct ShardOut
     {
-        uint64_t healthy = 0;
         uint64_t failed = 0;
         uint64_t attempts = 0;
         uint64_t retries = 0;
@@ -350,25 +341,26 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         uint64_t rolled_back = 0;
         uint64_t max_completion = 0;
         uint64_t delta_installs = 0;
-        uint64_t full_installs = 0;
         uint64_t transport_bytes = 0;
         util::Histogram hours{kHoursBucket, kHoursBuckets};
         util::Histogram healthy_hours{kHoursBucket, kHoursBuckets};
-        std::vector<LedgerRecord> ledger;
     };
     std::vector<ShardOut> shards(config_.shards);
 
-    const uint64_t per = util::ceilDiv(members.size(), config_.shards);
+    // Shard s fills ledger records [s * per, ...) in place: queue
+    // order, as a shard-by-shard append would produce.
+    const std::span<LedgerRecord> ledger =
+        vendor_.extendLedger(ids.size());
+    const uint64_t per = util::ceilDiv(ids.size(), config_.shards);
 
     runner_.forEach(config_.shards, [&](size_t s) {
         const size_t begin = s * per;
-        const size_t end =
-            std::min(members.size(), begin + per);
+        const size_t end = std::min(ids.size(), begin + per);
         ShardOut &out = shards[s];
         for (size_t j = begin; j < end; ++j) {
-            const uint32_t slot = members[j];
-            const uint32_t id = eligible_[slot];
-            const DeviceTraits &traits = traits_[slot];
+            const uint32_t id = ids[j];
+            const DeviceTraits traits =
+                deviceTraits(config_.fleet_seed, id, config_.dist);
 
             // Every draw this device makes in this wave comes off
             // one stream keyed by (device, release, wave) — never
@@ -408,8 +400,6 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
 
             if (via_delta)
                 ++out.delta_installs;
-            else
-                ++out.full_installs;
             out.transport_bytes += downlink_bytes;
 
             const bool failed =
@@ -430,7 +420,6 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
             DeviceState &state = states_[id];
             state.version = release.version;
             state.failed_health = failed ? 1 : 0;
-            state.updated_at_cycle = completion;
 
             const double hours =
                 static_cast<double>(completion) / kCyclesPerHour;
@@ -443,14 +432,12 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
                 ++out.rolled_back;
             if (failed)
                 ++out.failed;
-            else
-                ++out.healthy;
             out.attempts += 1 + sim.power_cut_retries;
             out.retries += sim.power_cut_retries;
             out.max_completion =
                 std::max(out.max_completion, completion);
 
-            LedgerRecord record;
+            LedgerRecord &record = ledger[j];
             record.device = id;
             record.release_version = release.version;
             record.wave = static_cast<uint16_t>(index);
@@ -458,13 +445,11 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
             record.power_cut_retries = static_cast<uint8_t>(
                 std::min<uint32_t>(sim.power_cut_retries, 255));
             record.completed_cycle = completion;
-            out.ledger.push_back(record);
         }
     });
 
     util::Histogram wave_hours(kHoursBucket, kHoursBuckets);
     for (const ShardOut &out : shards) {
-        wave.updated += out.healthy;
         wave.failed += out.failed;
         wave.close_cycle =
             std::max(wave.close_cycle, out.max_completion);
@@ -476,10 +461,12 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         totals_.attempts += out.attempts;
         totals_.power_cut_retries += out.retries;
         wave.delta_installs += out.delta_installs;
-        wave.full_installs += out.full_installs;
         wave.transport_bytes += out.transport_bytes;
-        vendor_.appendLedger(out.ledger);
     }
+    // Each offered device installs once: whoever did not fail is
+    // updated, whoever took no delta took the full bundle.
+    wave.updated = wave.offered - wave.failed;
+    wave.full_installs = wave.offered - wave.delta_installs;
     wave.transport_bytes_full = wave.offered * release.framed_bytes;
     totals_.delta_installs += wave.delta_installs;
     totals_.full_installs += wave.full_installs;
@@ -681,13 +668,10 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
             std::min<uint64_t>(std::max<uint64_t>(want, 1),
                                eligible_.size() - cursor));
 
-        std::vector<uint32_t> members(size);
-        for (size_t j = 0; j < size; ++j)
-            members[j] = static_cast<uint32_t>(cursor + j);
-
         const WaveStats wave = runWave(
             wave_index, wave_index == 0 ? "canary" : "expansion",
-            target, members, next_open);
+            target, std::span(eligible_).subspan(cursor, size),
+            next_open);
         totals_.waves.push_back(wave);
 
         cursor += size;
@@ -718,14 +702,14 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
             trace_->instant(track_, "publish rollback", open,
                             {{"release", rollback.version}});
 
-        std::vector<uint32_t> members;
-        for (size_t slot = 0; slot < cursor; ++slot) {
-            if (states_[eligible_[slot]].version == kTargetVersion)
-                members.push_back(static_cast<uint32_t>(slot));
+        std::vector<uint32_t> ids;
+        for (const uint32_t id : std::span(eligible_).first(cursor)) {
+            if (states_[id].version == kTargetVersion)
+                ids.push_back(id);
         }
 
-        const WaveStats wave = runWave(wave_index, "rollback",
-                                       rollback, members, open);
+        const WaveStats wave =
+            runWave(wave_index, "rollback", rollback, ids, open);
         totals_.waves.push_back(wave);
         ++totals_.rollback_waves;
     }
@@ -741,27 +725,19 @@ FleetSimulator::run(int32_t defective_variant, double defect_rate)
         static_cast<double>(totals_.convergence_cycle) /
         kCyclesPerHour;
 
-    if (halted) {
-        // Converged-after-halt: the rollback left nobody on the
-        // pulled release and nobody unhealthy.
-        bool clean = policy_.rollback_on_halt;
-        for (size_t slot = 0; slot < eligible_.size() && clean;
-             ++slot) {
-            const DeviceState &state = states_[eligible_[slot]];
-            clean = state.version != kTargetVersion &&
-                    state.failed_health == 0;
-        }
-        totals_.converged = clean;
-    } else {
-        bool clean = cursor == eligible_.size();
-        for (size_t slot = 0; slot < eligible_.size() && clean;
-             ++slot) {
-            const DeviceState &state = states_[eligible_[slot]];
-            clean = state.version == kTargetVersion &&
-                    state.failed_health == 0;
-        }
-        totals_.converged = clean;
-    }
+    // Converged: every eligible device healthy on the target release
+    // or — after a halt — the rollback left nobody on the pulled
+    // release and nobody unhealthy.
+    const auto settled = [&](uint32_t id) {
+        const DeviceState &state = states_[id];
+        return state.failed_health == 0 &&
+               (halted ? state.version != kTargetVersion
+                       : state.version == kTargetVersion);
+    };
+    totals_.converged =
+        (halted ? policy_.rollback_on_halt
+                : cursor == eligible_.size()) &&
+        std::all_of(eligible_.begin(), eligible_.end(), settled);
 
     totals_.releases = util::Json::array();
     for (const auto &[version, info] : vendor_.releases()) {

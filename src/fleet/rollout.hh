@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,7 @@ RolloutPolicy rolloutPolicyByName(const std::string &name);
 /** The fleet a rollout runs against. */
 struct FleetConfig
 {
-    /** Lightweight population size. */
+    /** Lightweight population size (at most 2^32: ids are 32-bit). */
     uint64_t devices = 100'000;
 
     /** Root seed of the whole fleet (traits, jitter, faults). */
@@ -300,10 +301,9 @@ class FleetSimulator
     obs::TraceSink *trace_ = nullptr;
     obs::TrackId track_ = 0;
 
-    /** Eligible devices in id order, with their traits cached. @{ */
+    /** Quirk-gate-eligible device ids in id order (forward waves
+     *  are spans of it); traits are recomputed, never stored. */
     std::vector<uint32_t> eligible_;
-    std::vector<DeviceTraits> traits_;
-    /** @} */
 
     std::vector<DeviceState> states_;
 
@@ -314,11 +314,11 @@ class FleetSimulator
 
     void buildPopulation();
 
-    /** Run one wave over @p members (ids in id order), updating
-     *  states and telemetry; @return its WaveStats. */
+    /** Run one wave over @p ids (in CDN queue order), updating
+     *  states, telemetry and the ledger; @return its WaveStats. */
     WaveStats runWave(uint32_t index, const std::string &kind,
                       const ReleaseInfo &release,
-                      const std::vector<uint32_t> &members,
+                      std::span<const uint32_t> ids,
                       uint64_t open_cycle);
 
     void runGroundTruth(const ReleaseInfo &release);

@@ -240,10 +240,11 @@ VendorService::release(uint32_t version) const
     return it->second;
 }
 
-void
-VendorService::appendLedger(const std::vector<LedgerRecord> &records)
+std::span<LedgerRecord>
+VendorService::extendLedger(size_t n)
 {
-    ledger_.insert(ledger_.end(), records.begin(), records.end());
+    ledger_.resize(ledger_.size() + n);
+    return std::span<LedgerRecord>(ledger_).last(n);
 }
 
 } // namespace secproc::fleet

@@ -20,8 +20,8 @@
  *    request is dispatched k service-times later plus a per-device
  *    client jitter — a closed form, so dispatch order is independent
  *    of shard or thread scheduling;
- *  - every completed install appends to the per-device history
- *    ledger, merged shard-by-shard in deterministic order.
+ *  - every completed install fills its wave's slice of the
+ *    per-device history ledger in place, in queue-position order.
  */
 
 #ifndef SECPROC_FLEET_VENDOR_HH
@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "crypto/rsa.hh"
@@ -215,11 +216,12 @@ class VendorService
         return position * config_.cdn_service_cycles;
     }
 
-    /** Append @p records (one shard's completions) to the ledger. */
-    void appendLedger(const std::vector<LedgerRecord> &records);
+    /** Grow the ledger by one wave's @p n records, returned to be
+     *  filled in place; valid until the ledger grows again. */
+    std::span<LedgerRecord> extendLedger(size_t n);
 
-    /** Per-device install history, in completion order per shard
-     *  merge (deterministic across thread counts). */
+    /** Per-device install history, wave by wave in queue-position
+     *  order (deterministic across thread counts). */
     const std::vector<LedgerRecord> &ledger() const
     {
         return ledger_;

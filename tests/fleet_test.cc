@@ -3,11 +3,19 @@
  * Fleet-scale staged-rollout tests: the shared OTA schedule and the
  * calibrated cost models pinned, ground-truth agreement of the
  * install cost model, canary halt + rollback mechanics,
- * thread-count determinism, and a million-device convergence run.
+ * thread-count determinism, reports and ledgers pinned to recorded
+ * hashes, the rollout's peak heap per device, and a million-device
+ * convergence run.
  */
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "fleet/device.hh"
@@ -15,11 +23,128 @@
 #include "fleet/vendor.hh"
 #include "ota/transport.hh"
 
+namespace
+{
+
+/** Live heap bytes allocated through global operator new while
+ *  g_heap_counting is set, and their peak. */
+std::atomic<bool> g_heap_counting{false};
+std::atomic<int64_t> g_heap_live{0};
+std::atomic<int64_t> g_heap_peak{0};
+
+void
+countHeap(void *p, int64_t sign)
+{
+    if (p == nullptr || !g_heap_counting.load(std::memory_order_relaxed))
+        return;
+    const int64_t bytes =
+        sign * static_cast<int64_t>(malloc_usable_size(p));
+    const int64_t live = g_heap_live.fetch_add(bytes) + bytes;
+    int64_t peak = g_heap_peak.load();
+    while (live > peak && !g_heap_peak.compare_exchange_weak(peak, live)) {
+    }
+}
+
+} // namespace
+
+// The replacements stay out of line: inlined, the compiler pairs the
+// malloc() and free() inside them with new and delete call sites and
+// warns about mismatched allocation functions. The nothrow pair
+// (std::stable_sort's buffer) is replaced too: under AddressSanitizer
+// the runtime's own version would otherwise allocate what these
+// deletes free.
+
+[[gnu::noinline]] void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    void *p = std::malloc(size == 0 ? 1 : size);
+    countHeap(p, 1);
+    return p;
+}
+
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (void *p = operator new(size, std::nothrow))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    countHeap(p, -1);
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    operator delete(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    operator delete(p);
+}
+
 using namespace secproc;
 using namespace secproc::fleet;
 
 namespace
 {
+
+/** Peak live heap bytes, above the level at entry, while @p fn runs. */
+template <typename Fn>
+int64_t
+peakHeapDuring(Fn &&fn)
+{
+    g_heap_live = 0;
+    g_heap_peak = 0;
+    g_heap_counting = true;
+    fn();
+    g_heap_counting = false;
+    return g_heap_peak.load();
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/** FNV-1a-64 of @p n bytes at @p data, continuing from @p hash. */
+uint64_t
+fnv1a(const void *data, size_t n, uint64_t hash = kFnvOffset)
+{
+    const auto *bytes = static_cast<const uint8_t *>(data);
+    for (size_t i = 0; i < n; ++i)
+        hash = (hash ^ bytes[i]) * 0x100000001b3ull;
+    return hash;
+}
+
+uint64_t
+fnv1a(std::string_view text)
+{
+    return fnv1a(text.data(), text.size());
+}
+
+/** FNV-1a-64 over every record's fields, in declaration order, at
+ *  their native widths. */
+uint64_t
+ledgerHash(const std::vector<LedgerRecord> &ledger)
+{
+    uint64_t hash = kFnvOffset;
+    const auto field = [&hash](const auto &value) {
+        hash = fnv1a(&value, sizeof(value), hash);
+    };
+    for (const LedgerRecord &r : ledger) {
+        field(r.device);
+        field(r.release_version);
+        field(r.wave);
+        field(r.outcome);
+        field(r.power_cut_retries);
+        field(r.completed_cycle);
+    }
+    return hash;
+}
 
 exp::Runner
 serialRunner()
@@ -89,6 +214,7 @@ TEST(FleetDevice, TraitsArePureAndInDistributionRange)
     for (uint64_t id = 0; id < 500; ++id) {
         const DeviceTraits a = deviceTraits(0xABCD, id, dist);
         const DeviceTraits b = deviceTraits(0xABCD, id, dist);
+        EXPECT_EQ(deviceVariant(0xABCD, id, dist), a.hw_variant);
         EXPECT_EQ(a.seed, b.seed);
         EXPECT_EQ(a.hw_variant, b.hw_variant);
         EXPECT_EQ(a.engine_latency, b.engine_latency);
@@ -145,11 +271,17 @@ TEST(FleetVendor, QuirkGateAndLedger)
     EXPECT_GT(release.cost(102).total(),
               release.cost(50).total());
 
-    vendor.appendLedger({LedgerRecord{7, 2, 0,
-                                      InstallOutcome::Updated, 1,
-                                      12345}});
+    // A wave's records are reserved up front and filled in place;
+    // the next wave's land after them.
+    const std::span<LedgerRecord> wave = vendor.extendLedger(1);
+    ASSERT_EQ(wave.size(), 1u);
+    wave[0] = LedgerRecord{7, 2, 0, InstallOutcome::Updated, 1, 12345};
     ASSERT_EQ(vendor.ledger().size(), 1u);
     EXPECT_EQ(vendor.ledger()[0].device, 7u);
+    EXPECT_EQ(vendor.extendLedger(2).size(), 2u);
+    ASSERT_EQ(vendor.ledger().size(), 3u);
+    EXPECT_EQ(vendor.ledger()[0].completed_cycle, 12345u);
+    EXPECT_EQ(vendor.ledger()[2].device, 0u);
 
     // CDN dispatch is a closed form over queue position — shard
     // and thread scheduling cannot reorder it.
@@ -320,6 +452,109 @@ TEST(FleetRollout, BitIdenticalAcrossThreadCountsAndRuns)
         EXPECT_EQ(a.power_cut_retries, b.power_cut_retries);
         EXPECT_EQ(a.completed_cycle, b.completed_cycle);
     }
+}
+
+// The determinism test above compares a build only with itself. Pin
+// the report and the install-history ledger of two rollouts — a
+// faulty one that halts and rolls back, a healthy one shipping
+// deltas — at the values recorded before the population stopped
+// being stored, so a change that shifts every run alike shows too.
+TEST(FleetRollout, ReportsAndLedgersArePinned)
+{
+    struct Case
+    {
+        FleetScenario scenario;
+        bool ship_deltas;
+        uint64_t report_hash;
+        uint64_t ledger_hash;
+        size_t records;
+    };
+    const Case cases[] = {
+        {fleetScenarioFaulty(), false, 0xf1a5970287dbd44c,
+         0x5d0e6d1aadf699db, 194},
+        {fleetScenarioHealthy(), true, 0xc7090f27034558c1,
+         0xed3187619746b9e3, 19386},
+    };
+    const exp::Runner runner = threadedRunner(4);
+    for (const Case &c : cases) {
+        FleetConfig config;
+        config.devices = 20'000;
+        config.vendor.image_bytes = 16 << 10;
+        config.dist = c.scenario.dist;
+        config.ship_deltas = c.ship_deltas;
+        FleetSimulator sim(config, RolloutPolicy::canaryStaged(),
+                           runner);
+        const RolloutResult result = sim.run(
+            c.scenario.defective_variant, c.scenario.defect_rate);
+        EXPECT_EQ(fnv1a(result.toJson().dump()), c.report_hash)
+            << c.scenario.name;
+        EXPECT_EQ(sim.vendor().ledger().size(), c.records)
+            << c.scenario.name;
+        EXPECT_EQ(ledgerHash(sim.vendor().ledger()), c.ledger_hash)
+            << c.scenario.name;
+    }
+}
+
+// The population is a pure function of (fleet seed, device id): a
+// rollout stores per device only its 8-byte DeviceState, its eligible
+// id and, once a wave serves it, its 24-byte ledger record. The bounds
+// on run()'s peak heap per device sit above that (55.9 B faulty, 88.7 B
+// healthy-delta; mostly the per-shard histograms, 4 MB per wave) and
+// below storing each device's traits and copying every wave into
+// member and per-shard ledger lists (118.6 B and 167.4 B).
+TEST(FleetRollout, PeakHeapPerDeviceIsBounded)
+{
+    struct Case
+    {
+        FleetScenario scenario;
+        bool ship_deltas;
+        double max_bytes_per_device;
+    };
+    const Case cases[] = {
+        {fleetScenarioFaulty(), false, 80.0},
+        {fleetScenarioHealthy(), true, 120.0},
+    };
+    const exp::Runner runner = serialRunner();
+    for (const Case &c : cases) {
+        FleetConfig config;
+        config.devices = 100'000;
+        config.dist = c.scenario.dist;
+        config.ship_deltas = c.ship_deltas;
+        config.ground_truth_devices = 0;
+        FleetSimulator sim(config, RolloutPolicy::canaryStaged(),
+                           runner);
+        const int64_t peak = peakHeapDuring([&] {
+            EXPECT_TRUE(sim.run(c.scenario.defective_variant,
+                                c.scenario.defect_rate)
+                            .converged);
+        });
+        const double per_device = static_cast<double>(peak) /
+                                  static_cast<double>(config.devices);
+        EXPECT_LE(per_device, c.max_bytes_per_device)
+            << c.scenario.name << " peaked at " << peak << " B";
+    }
+}
+
+// Device ids are 32-bit throughout the rollout: a larger fleet is
+// refused before anything is built, and the largest one that fits is
+// accepted.
+TEST(FleetRolloutDeathTest, RejectsFleetsWhoseIdsDoNotFit32Bits)
+{
+    const exp::Runner runner = serialRunner();
+    FleetConfig config;
+    config.devices = (uint64_t{1} << 32) + 1;
+    EXPECT_DEATH_IF_SUPPORTED(
+        {
+            FleetSimulator sim(config, RolloutPolicy::canaryStaged(),
+                               runner);
+            (void)sim;
+        },
+        "32-bit");
+
+    config.devices = uint64_t{1} << 32;
+    FleetSimulator largest(config, RolloutPolicy::canaryStaged(),
+                           runner);
+    (void)largest;
 }
 
 // Acceptance: a million-device staged rollout completes on one
