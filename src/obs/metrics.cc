@@ -80,8 +80,6 @@ MetricsRegistry::group(const util::StatGroup &g)
 {
     for (const auto &[stat_name, c] : g.counters())
         counter(g.name() + "." + stat_name, c);
-    for (const auto &[stat_name, a] : g.accumulators())
-        accumulator(g.name() + "." + stat_name, a);
 }
 
 MetricsSnapshot

@@ -78,8 +78,8 @@ class MetricsRegistry
     void histogram(const std::string &name, const util::Histogram *h);
 
     /**
-     * Bridge a StatGroup: every registered counter/accumulator is
-     * bound under "<group name>.<stat name>".
+     * Bridge a StatGroup: every registered counter is bound under
+     * "<group name>.<stat name>".
      */
     void group(const util::StatGroup &g);
 

@@ -16,8 +16,6 @@
 
 #include <cstdint>
 
-#include "sim/event_queue.hh"
-
 namespace secproc::obs
 {
 class TraceSink;
@@ -25,6 +23,9 @@ class TraceSink;
 
 namespace secproc::sim
 {
+
+/** "No event pending" sentinel cycle (see nextEventCycle()). */
+inline constexpr uint64_t kNeverCycle = UINT64_MAX;
 
 /**
  * A self-paced producer of memory-channel transactions and
@@ -61,17 +62,10 @@ class BackgroundAgent
      * MemoryChannel::nextArbiterEventCycle), OTA chunk arrival (via
      * ota::Transport::nextArrivalCycle), crypto reservation expiry /
      * self-paced cursors (the agent's own completion cycle).
-     *
-     * Returning @p now (or anything <= now) means "pump me at every
-     * boundary" — the default, which makes agents that predate the
-     * contract behave exactly as under the legacy kernel. Return
-     * kNeverCycle when done() and nothing can wake the agent again.
+     * Return kNeverCycle when done() and nothing can wake the agent
+     * again.
      */
-    virtual uint64_t
-    nextEventCycle(uint64_t now) const
-    {
-        return now;
-    }
+    virtual uint64_t nextEventCycle(uint64_t now) const = 0;
 
     /**
      * Drop all in-flight work (machine reset / power cycle). Called

@@ -447,12 +447,6 @@ System::setTraceSink(obs::TraceSink *sink)
 }
 
 void
-System::detachAgent(BackgroundAgent *agent)
-{
-    std::erase(agents_, agent);
-}
-
-void
 System::reset()
 {
     // Shared resources first, then the agents: an agent's request
@@ -469,21 +463,18 @@ System::reset()
     outstanding_.clear();
     for (BackgroundAgent *agent : agents_)
         agent->reset();
-    // Any wakeup armed for the abandoned work is meaningless now;
-    // the next run() re-arms from the agents' post-reset state.
-    wakeups_.clear();
     if (trace_ != nullptr)
         trace_->instant(trace_track_, "machine_reset", core_.cycles());
 }
 
 uint64_t
-System::armWakeups()
+System::nextWakeup() const
 {
-    wakeups_.clear();
     const uint64_t now = core_.cycles();
-    for (size_t i = 0; i < agents_.size(); ++i)
-        wakeups_.schedule(agents_[i]->nextEventCycle(now), i);
-    return wakeups_.nextCycle();
+    uint64_t earliest = kNeverCycle;
+    for (const BackgroundAgent *agent : agents_)
+        earliest = std::min(earliest, agent->nextEventCycle(now));
+    return earliest;
 }
 
 void
@@ -509,8 +500,8 @@ System::run(uint64_t instructions)
     // the core clock reaches the earliest one drops only provable
     // no-op pumps. At a reached wakeup *every* agent is advanced in
     // attach order — the exact sub-sequence of the legacy every-step
-    // pump that contains all its effectful elements — and every
-    // wakeup is re-armed against the post-pump state.
+    // pump that contains all its effectful elements — and the
+    // earliest wakeup is taken again over the post-pump state.
     //
     // The parked-grant check closes the one gap wakeups cannot see:
     // the foreground's own channel accesses run the arbiter at the
@@ -519,7 +510,7 @@ System::run(uint64_t instructions)
     // wakeup is still in the future. Legacy collects such grants at
     // the very next boundary; so must we. Results are bit-identical
     // to KernelMode::Legacy; only wall-clock differs.
-    uint64_t next_wake = armWakeups();
+    uint64_t next_wake = nextWakeup();
     for (uint64_t i = 0; i < instructions; ++i) {
         core_.step(active.next());
         if (core_.cycles() >= next_wake ||
@@ -527,7 +518,7 @@ System::run(uint64_t instructions)
             const uint64_t now = core_.cycles();
             for (BackgroundAgent *agent : agents_)
                 agent->advance(now);
-            next_wake = armWakeups();
+            next_wake = nextWakeup();
         }
     }
 }

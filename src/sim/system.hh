@@ -29,7 +29,6 @@
 #include "secure/protection_engine.hh"
 #include "sim/agent.hh"
 #include "sim/core.hh"
-#include "sim/event_queue.hh"
 #include "sim/workload.hh"
 
 namespace secproc::sim
@@ -44,10 +43,10 @@ namespace secproc::sim
 enum class KernelMode
 {
     /**
-     * Event-driven: agents register conservative wakeups
-     * (BackgroundAgent::nextEventCycle) in a deterministic min-heap
-     * and the pump only runs at boundaries that reach the earliest
-     * one — idle spans cost O(1).
+     * Event-driven: after each pump the kernel takes the earliest of
+     * the agents' conservative wakeups
+     * (BackgroundAgent::nextEventCycle), and the pump only runs at
+     * boundaries that reach it — idle spans cost O(1).
      */
     Event,
     /** Pump every agent after every core step (pre-event kernel). */
@@ -145,20 +144,11 @@ class System : public MemorySystem
      */
     void attachAgent(BackgroundAgent *agent);
 
-    /** Detach a previously attached agent (no-op if absent). */
-    void detachAgent(BackgroundAgent *agent);
-
     /** Scheduler run() drives attached agents with. */
     KernelMode kernelMode() const { return kernel_; }
 
     /** Override the environment-selected kernel (tests, tools). */
     void setKernelMode(KernelMode mode) { kernel_ = mode; }
-
-    /**
-     * Wakeups currently armed in the event kernel's heap (armed by
-     * the most recent run(); reset() drains them).
-     */
-    size_t pendingWakeups() const { return wakeups_.armed(); }
 
     /**
      * Machine reset (power cycle mid-run): quiesce the shared timing
@@ -268,8 +258,6 @@ class System : public MemorySystem
     std::vector<BackgroundAgent *> agents_;
     /** Scheduler for run()'s agent pump. */
     KernelMode kernel_ = KernelMode::Event;
-    /** Event kernel: pending agent wakeups (tag = attach index). */
-    EventQueue wakeups_;
     mem::Cache l1i_;
     mem::Cache l1d_;
     mem::Cache l2_;
@@ -311,11 +299,10 @@ class System : public MemorySystem
     Workload &workload() const;
 
     /**
-     * Re-arm every agent's wakeup at the current core clock and
-     * return the earliest one (kNeverCycle when all agents are
-     * done).
+     * Earliest nextEventCycle() of the attached agents at the
+     * current core clock (kNeverCycle when no agent is attached).
      */
-    uint64_t armWakeups();
+    uint64_t nextWakeup() const;
 
     uint64_t lineAlign(uint64_t addr) const;
     uint64_t accessL2(uint64_t vaddr, uint64_t cycle, bool ifetch,

@@ -45,15 +45,6 @@ frameBundle(const UpdateBundle &bundle)
     return out;
 }
 
-std::optional<std::vector<uint8_t>>
-unframeBundleBytes(const std::vector<uint8_t> &framed)
-{
-    const auto view = unframeBundleView(framed);
-    if (!view.has_value())
-        return std::nullopt;
-    return std::vector<uint8_t>(view->begin(), view->end());
-}
-
 std::optional<std::span<const uint8_t>>
 unframeBundleView(std::span<const uint8_t> framed)
 {
@@ -307,20 +298,15 @@ UpdateEngine::reconstructDelta(const DeltaBundle &delta,
                  "no active image to apply a delta against"},
                 std::nullopt};
     }
-    const uint64_t base = slotBase(active_slot_);
-    std::vector<uint8_t> header(kSlotHeaderBytes);
-    memory.read(base, header.data(), header.size());
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > staging_.slot_size - kSlotHeaderBytes) {
+    const auto extent = framedExtent(active_slot_, memory);
+    if (!extent.has_value()) {
         return {{UpdateStatus::BaseMismatch,
                  "active slot holds no readable base bundle"},
                 std::nullopt};
     }
-    std::vector<uint8_t> base_bytes(len);
-    memory.read(base + kSlotHeaderBytes, base_bytes.data(), len);
+    std::vector<uint8_t> base_bytes(*extent - kSlotHeaderBytes);
+    memory.read(slotBase(active_slot_) + kSlotHeaderBytes,
+                base_bytes.data(), base_bytes.size());
     const auto base_bundle = UpdateBundle::deserialize(base_bytes);
     if (!base_bundle.has_value()) {
         return {{UpdateStatus::BaseMismatch,
@@ -379,24 +365,19 @@ UpdateEngine::activate(secure::CompartmentId compartment,
     }
 
     const uint32_t slot = stagingSlot();
-    const uint64_t base = slotBase(slot);
 
     // Re-read the slot header from untrusted memory.
-    std::vector<uint8_t> header(kSlotHeaderBytes);
-    memory.read(base, header.data(), header.size());
-    util::ByteReader reader(header);
-    const uint32_t magic = reader.u32();
-    const uint64_t len = reader.u64();
-    if (magic != kSlotMagic || len == 0 ||
-        len > staging_.slot_size - kSlotHeaderBytes) {
+    const auto extent = framedExtent(slot, memory);
+    if (!extent.has_value()) {
         return {UpdateStatus::StagingCorrupt,
                 "staged slot header is damaged (interrupted "
                 "staging write?)",
                 compartment, 0, active_slot_};
     }
 
-    std::vector<uint8_t> bundle_bytes(len);
-    memory.read(base + kSlotHeaderBytes, bundle_bytes.data(), len);
+    std::vector<uint8_t> bundle_bytes(*extent - kSlotHeaderBytes);
+    memory.read(slotBase(slot) + kSlotHeaderBytes, bundle_bytes.data(),
+                bundle_bytes.size());
     const auto staged = UpdateBundle::deserialize(bundle_bytes);
     if (!staged.has_value()) {
         return {UpdateStatus::StagingCorrupt,

@@ -123,14 +123,11 @@ frameBundleBytes(const std::vector<uint8_t> &bundle_bytes);
 std::vector<uint8_t> frameBundle(const UpdateBundle &bundle);
 
 /**
- * Undo frameBundleBytes on bytes read back from untrusted memory.
- * @return the bundle bytes, or std::nullopt when the framing is
- * damaged (torn write, corruption).
+ * Undo frameBundleBytes on bytes read back from untrusted memory,
+ * without copying: the view borrows @p framed. @return the bundle
+ * bytes, or std::nullopt when the framing is damaged (torn write,
+ * corruption).
  */
-std::optional<std::vector<uint8_t>>
-unframeBundleBytes(const std::vector<uint8_t> &framed);
-
-/** View form of unframeBundleBytes: no copy, borrows @p framed. */
 std::optional<std::span<const uint8_t>>
 unframeBundleView(std::span<const uint8_t> framed);
 

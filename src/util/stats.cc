@@ -6,7 +6,6 @@
 #include "util/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "util/logging.hh"
 
@@ -122,24 +121,10 @@ StatGroup::regCounter(const std::string &stat_name, const Counter *c)
 }
 
 void
-StatGroup::regAccumulator(const std::string &stat_name,
-                          const Accumulator *a)
-{
-    panic_if(!a, "null accumulator registered as ", stat_name);
-    accumulators_[stat_name] = a;
-}
-
-void
 StatGroup::dump(std::ostream &os) const
 {
     for (const auto &[stat_name, c] : counters_)
         os << name_ << '.' << stat_name << ' ' << c->value() << '\n';
-    for (const auto &[stat_name, a] : accumulators_) {
-        os << name_ << '.' << stat_name << ".count " << a->count()
-           << '\n';
-        os << name_ << '.' << stat_name << ".mean " << std::setprecision(6)
-           << a->mean() << '\n';
-    }
 }
 
 } // namespace secproc::util

@@ -3,8 +3,8 @@
  * Lightweight statistics primitives used by every simulation component.
  *
  * The design mirrors gem5's Stats package at a much smaller scale:
- * named scalars and histograms register themselves with a StatGroup so
- * components can be dumped uniformly at the end of a run.
+ * named counters register themselves with a StatGroup so components
+ * can be dumped uniformly at the end of a run.
  */
 
 #ifndef SECPROC_UTIL_STATS_HH
@@ -116,30 +116,21 @@ class StatGroup
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     void regCounter(const std::string &stat_name, const Counter *c);
-    void regAccumulator(const std::string &stat_name,
-                        const Accumulator *a);
 
     /** Dump "group.stat value" lines, sorted by name. */
     void dump(std::ostream &os) const;
 
     const std::string &name() const { return name_; }
 
-    /** Registered statistics, for registry bridges. @{ */
+    /** Registered counters, for registry bridges. */
     const std::map<std::string, const Counter *> &counters() const
     {
         return counters_;
     }
-    const std::map<std::string, const Accumulator *> &
-    accumulators() const
-    {
-        return accumulators_;
-    }
-    /** @} */
 
   private:
     std::string name_;
     std::map<std::string, const Counter *> counters_;
-    std::map<std::string, const Accumulator *> accumulators_;
 };
 
 } // namespace secproc::util

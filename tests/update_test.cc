@@ -73,7 +73,8 @@ struct Vendor
 
     UpdateBundle
     release(const crypto::RsaPublicKey &processor, uint32_t version,
-            uint64_t counter, const std::string &title = "firmware")
+            uint64_t counter, const std::string &title = "firmware",
+            const Digest &base_digest = {})
     {
         xom::PlainProgram program;
         program.title = title;
@@ -95,6 +96,7 @@ struct Vendor
         UpdateSpec spec;
         spec.image_version = version;
         spec.rollback_counter = counter;
+        spec.base_digest = base_digest;
         return builder.build(program, spec, processor, rng);
     }
 };
@@ -482,6 +484,109 @@ TEST(UpdateStaging, InterruptedStagingKeepsOldImageLive)
         1, device.memory, device.vm, 1, *device.engine);
     ASSERT_TRUE(retried.ok()) << retried.detail;
     EXPECT_EQ(device.rollback.current("firmware"), 2u);
+}
+
+/**
+ * The slot header (magic | u64 length) is read from untrusted memory
+ * by framedExtent(), which activate() and reconstructDelta() both
+ * rely on. Forge each boundary header on the staged slot, then on
+ * the active slot: a refused header is a damaged slot, and the
+ * largest accepted length (the whole slot) still has to parse.
+ */
+TEST(UpdateEngine, SlotHeaderBoundaries)
+{
+    constexpr uint64_t kSlot = 1ull << 20;
+    Vendor vendor(37);
+    Device device(38, vendor.builder.publicKey());
+    RollbackStore rollback;
+    UpdateEngine updater(vendor.builder.publicKey(), device.processor,
+                         device.keys, rollback,
+                         StagingConfig{0x4000'0000, kSlot});
+
+    const UpdateBundle v1 = vendor.release(device.processor.pub, 1, 1);
+    ASSERT_TRUE(updater
+                    .install(v1, 1, device.memory, device.vm, 1,
+                             *device.engine)
+                    .ok());
+    const UpdateBundle v2 =
+        vendor.release(device.processor.pub, 2, 2, "firmware",
+                       sha256DigestOfImage(v1.image));
+    const DeltaBundle delta = vendor.builder.buildDelta(v1, v2);
+
+    const uint32_t active = updater.activeSlot();
+    const uint32_t staged = updater.stagingSlot();
+    std::vector<uint8_t> active_header(kSlotHeaderBytes);
+    device.memory.read(updater.slotBase(active), active_header.data(),
+                       active_header.size());
+    const uint32_t magic = util::ByteReader(active_header).u32();
+    auto forge = [&](uint32_t slot, uint32_t forged_magic, uint64_t len) {
+        std::vector<uint8_t> header;
+        util::putU32(header, forged_magic);
+        util::putU64(header, len);
+        device.memory.write(updater.slotBase(slot), header.data(),
+                            header.size());
+    };
+
+    struct Case
+    {
+        const char *name;
+        uint32_t magic;
+        uint64_t len;
+        bool accepted;
+    };
+    const Case cases[] = {
+        {"wrong magic", magic ^ 1u, 64, false},
+        {"zero length", magic, 0, false},
+        {"whole slot", magic, kSlot - kSlotHeaderBytes, true},
+        {"one past the slot", magic, kSlot - kSlotHeaderBytes + 1, false},
+        {"u64 max", magic, UINT64_MAX, false},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::optional<uint64_t> extent =
+            c.accepted ? std::optional<uint64_t>(kSlot) : std::nullopt;
+
+        ASSERT_TRUE(updater.stage(v2, device.memory).ok());
+        forge(staged, c.magic, c.len);
+        EXPECT_EQ(updater.framedExtent(staged, device.memory), extent);
+        const InstallResult activated = updater.activate(
+            1, device.memory, device.vm, 1, *device.engine);
+        EXPECT_EQ(activated.status, UpdateStatus::StagingCorrupt);
+        EXPECT_EQ(activated.detail,
+                  c.accepted ? "staged bundle bytes no longer parse"
+                             : "staged slot header is damaged "
+                               "(interrupted staging write?)");
+        EXPECT_EQ(updater.activeSlot(), active);
+        EXPECT_EQ(updater.activeManifest()->image_version, 1u);
+
+        forge(active, c.magic, c.len);
+        EXPECT_EQ(updater.framedExtent(active, device.memory), extent);
+        const auto rec = updater.reconstructDelta(delta, device.memory);
+        EXPECT_EQ(rec.result.status, UpdateStatus::BaseMismatch);
+        EXPECT_EQ(rec.result.detail,
+                  c.accepted ? "active slot bundle no longer parses"
+                             : "active slot holds no readable base "
+                               "bundle");
+        device.memory.write(updater.slotBase(active),
+                            active_header.data(), active_header.size());
+    }
+
+    // Control: with honest headers both paths go through.
+    EXPECT_TRUE(updater.reconstructDelta(delta, device.memory).result.ok());
+    ASSERT_TRUE(updater.stage(v2, device.memory).ok());
+    EXPECT_TRUE(updater
+                    .activate(1, device.memory, device.vm, 1,
+                              *device.engine)
+                    .ok());
+
+    // The in-memory framing has the same upper bound: the length may
+    // claim every byte after the header, and not one more.
+    std::vector<uint8_t> framed = frameBundleBytes({1, 2, 3});
+    EXPECT_EQ(unframeBundleView(framed)->size(), 3u);
+    std::vector<uint8_t> len;
+    util::putU64(len, 4);
+    std::copy(len.begin(), len.end(), framed.begin() + 4);
+    EXPECT_FALSE(unframeBundleView(framed).has_value());
 }
 
 TEST(UpdateStaging, ActivateWithoutStageIsNothingStaged)
