@@ -9,7 +9,6 @@
 #include <cmath>
 
 #include "secure/key_table.hh"
-#include "sim/profiles.hh"
 #include "sim/system.hh"
 #include "update/live_install.hh"
 #include "update/rollback_store.hh"
@@ -538,25 +537,25 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
         ota::TransportConfig link = linkTransport(combo.link);
         link.seed = mixSeed(device_seed, release.version);
 
+        gt.via_delta = release.delta_base_version != 0;
         gt.predicted_cycles = predictCleanInstallCycles(
-            release.cost(combo.engine_latency), link,
-            release.framed_bytes);
+            gt.via_delta ? release.deltaCost(combo.engine_latency)
+                         : release.cost(combo.engine_latency),
+            link,
+            gt.via_delta ? release.delta_framed_bytes
+                         : release.framed_bytes);
 
         // The full machine: same calibration pacing (Fixed), idle
-        // foreground, the real signed bundle over the real lossy
-        // transport.
+        // machine (the install replays on its own clock, so no
+        // program needs to have run), the real signed bundle over the
+        // real lossy transport.
         sim::SystemConfig config =
             sim::paperConfig(secure::SecurityModel::OtpSnc);
         config.protection.crypto.latency = combo.engine_latency;
         fatal_if(config.l2.line_size != config_.vendor.line_bytes,
                  "ground-truth line size diverged from the "
                  "vendor calibration");
-
-        const sim::WorkloadProfile profile =
-            sim::benchmarkProfile("gcc");
-        sim::SyntheticWorkload workload(profile,
-                                        config.l2.line_size);
-        sim::System system(config, workload);
+        sim::System system(config, std::vector<sim::TaskSpec>{});
 
         secure::KeyTable keys;
         update::RollbackStore rollback(64);
@@ -572,7 +571,6 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
         update::LiveInstall live(live_config, system, updater, 1);
         system.attachAgent(&live);
 
-        gt.via_delta = release.delta_base_version != 0;
         if (gt.via_delta) {
             // The delta reconstructs against the device's active
             // slot: pre-install the base release functionally (zero
@@ -589,9 +587,6 @@ FleetSimulator::runGroundTruth(const ReleaseInfo &release)
                 update::kLiveImageAsid, system.engine());
             fatal_if(!activated.ok(),
                      "ground-truth base release refused to activate");
-            gt.predicted_cycles = predictCleanInstallCycles(
-                release.deltaCost(combo.engine_latency), link,
-                release.delta_framed_bytes);
             live.startDelta(release.delta, 0);
         } else {
             live.start(release.bundle, 0);

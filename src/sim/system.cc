@@ -62,15 +62,15 @@ System::System(const SystemConfig &config, std::vector<TaskSpec> tasks)
     kernel_ = kernelModeFromEnvironment();
     fatal_if(config_.protection.line_size != config_.l2.line_size,
              "protection engine line size must match L2");
-    fatal_if(tasks_.empty(), "a System needs at least one task");
     for (const TaskSpec &task : tasks_)
         fatal_if(task.workload == nullptr, "task without a workload");
     installKeys();
     engine_ = secure::makeProtectionEngine(config_.protection, channel_,
                                            keys_, &crypto_engine_);
-    engine_->setCompartment(tasks_.front().compartment);
     registerPlaintextRegions();
-    preinitializeRegions();
+    // An idle machine has run no program: nothing to pre-initialize.
+    if (!tasks_.empty())
+        preinitializeRegions();
     registerMetrics(metrics_);
 }
 
@@ -200,7 +200,9 @@ System::preinitializeRegions()
     // Model the history as filler entries that real lines then
     // displace. No-replacement SNCs are per-program structures that
     // start empty, so skip them (their slots belong to the program's
-    // own first writes, replayed below).
+    // own first writes, replayed above). The history is a program's
+    // past, so an idle machine (no task) gets none: its constructor
+    // skips this function and its SNC starts empty.
     if (config_.protection.model == secure::SecurityModel::OtpSnc &&
         config_.protection.snc.allow_replacement) {
         auto *otp = static_cast<secure::OtpEngine *>(engine_.get());
@@ -480,6 +482,7 @@ System::nextWakeup() const
 void
 System::run(uint64_t instructions)
 {
+    fatal_if(tasks_.empty(), "an idle machine runs no instructions");
     Workload &active = workload();
     if (agents_.empty()) {
         for (uint64_t i = 0; i < instructions; ++i)

@@ -130,10 +130,18 @@ class System : public MemorySystem
      * Multi-programmed machine: every task's image is loaded (and
      * its regions pre-initialized) up front; task 0 starts active.
      * Tasks must use disjoint va_offset ranges.
+     *
+     * An empty list builds an idle machine, on which no program has
+     * run: no region is pre-initialized and an LRU SNC starts empty,
+     * with no history fill. It hosts installs that drive their own
+     * idle clock (InstallTiming::replay); run() is fatal.
      */
     System(const SystemConfig &config, std::vector<TaskSpec> tasks);
 
-    /** Run @p instructions more instructions of the active task. */
+    /**
+     * Run @p instructions more instructions of the active task
+     * (fatal on an idle machine).
+     */
     void run(uint64_t instructions);
 
     /**

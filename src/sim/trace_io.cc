@@ -150,7 +150,7 @@ class Reader
     str()
     {
         const uint64_t len = varint();
-        fatal_if(pos_ + len > bytes_.size(), "trace string truncated");
+        fatal_if(len > remaining(), "trace string truncated");
         std::string s(bytes_.begin() + static_cast<ptrdiff_t>(pos_),
                       bytes_.begin() + static_cast<ptrdiff_t>(pos_ + len));
         pos_ += len;
@@ -158,6 +158,10 @@ class Reader
     }
 
     bool done() const { return pos_ == bytes_.size(); }
+
+    /** Bytes not yet read: a bound on any count still to come, since
+     *  every counted element takes at least one byte. */
+    uint64_t remaining() const { return bytes_.size() - pos_; }
 
   private:
     std::vector<uint8_t> bytes_;
@@ -189,7 +193,10 @@ DataRegion
 getRegion(Reader &r)
 {
     DataRegion region;
-    region.behavior = static_cast<RegionBehavior>(r.u8());
+    const uint8_t behavior = r.u8();
+    fatal_if(behavior > static_cast<uint8_t>(RegionBehavior::WriteOnce),
+             "corrupt region behavior in trace");
+    region.behavior = static_cast<RegionBehavior>(behavior);
     region.footprint = r.u64();
     region.weight = r.f64();
     region.store_frac = r.f64();
@@ -350,6 +357,7 @@ readTrace(const std::string &path)
              "trace live-line lists do not match regions");
     for (uint64_t i = 0; i < region_lists; ++i) {
         const uint64_t count = r.varint();
+        fatal_if(count > r.remaining(), "trace live-line list truncated");
         std::vector<uint64_t> lines;
         lines.reserve(count);
         uint64_t prev = 0;
@@ -361,6 +369,7 @@ readTrace(const std::string &path)
     }
 
     const uint64_t ops = r.u64();
+    fatal_if(ops > r.remaining(), "trace op stream truncated");
     image.ops.reserve(ops);
     uint64_t prev_addr = 0;
     uint64_t prev_fetch = 0;

@@ -153,12 +153,6 @@ DeltaBundle::serialize() const
 }
 
 std::optional<DeltaBundle>
-DeltaBundle::deserialize(const std::vector<uint8_t> &data)
-{
-    return deserialize(std::span<const uint8_t>(data));
-}
-
-std::optional<DeltaBundle>
 DeltaBundle::deserialize(std::span<const uint8_t> data)
 {
     util::ByteReader reader(data);

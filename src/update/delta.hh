@@ -107,12 +107,9 @@ struct DeltaBundle
     /** Total Literal bytes across sections + capsule. */
     uint64_t literalBytes() const;
 
-    /** Parse; std::nullopt on malformed/truncated input. @{ */
-    static std::optional<DeltaBundle>
-    deserialize(const std::vector<uint8_t> &data);
+    /** Parse; std::nullopt on malformed/truncated input. */
     static std::optional<DeltaBundle>
     deserialize(std::span<const uint8_t> data);
-    /** @} */
 };
 
 /**

@@ -116,12 +116,6 @@ UpdateManifest::serialize() const
 }
 
 std::optional<UpdateManifest>
-UpdateManifest::deserialize(const std::vector<uint8_t> &data)
-{
-    return deserialize(std::span<const uint8_t>(data));
-}
-
-std::optional<UpdateManifest>
 UpdateManifest::deserialize(std::span<const uint8_t> data)
 {
     util::ByteReader reader(data);
@@ -208,12 +202,6 @@ UpdateBundle::serialize() const
     util::VectorSink sink(out);
     serializeTo(sink);
     return out;
-}
-
-std::optional<UpdateBundle>
-UpdateBundle::deserialize(const std::vector<uint8_t> &data)
-{
-    return deserialize(std::span<const uint8_t>(data));
 }
 
 std::optional<UpdateBundle>

@@ -92,12 +92,9 @@ struct UpdateManifest
     /** Canonical byte form — the exact bytes the vendor signs. */
     std::vector<uint8_t> serialize() const;
 
-    /** Parse; std::nullopt on malformed/truncated input. @{ */
-    static std::optional<UpdateManifest>
-    deserialize(const std::vector<uint8_t> &data);
+    /** Parse; std::nullopt on malformed/truncated input. */
     static std::optional<UpdateManifest>
     deserialize(std::span<const uint8_t> data);
-    /** @} */
 
     /** SHA-256 over serialize(); the value rsaSignDigest signs. */
     Digest digest() const;
@@ -156,15 +153,12 @@ struct UpdateBundle
      * interrupted staging write, a corrupted download). Arbitrary
      * corruption is reported, never fatal; integrity of the parsed
      * contents is established by UpdateEngine::verify, which every
-     * consumer must (and does) run before trusting the bundle. The
-     * span form parses a view in place (no per-layer copies of the
-     * multi-megabyte image blob). @{
+     * consumer must (and does) run before trusting the bundle. Parses
+     * a view in place (no per-layer copies of the multi-megabyte
+     * image blob).
      */
     static std::optional<UpdateBundle>
-    deserialize(const std::vector<uint8_t> &data);
-    static std::optional<UpdateBundle>
     deserialize(std::span<const uint8_t> data);
-    /** @} */
 };
 
 } // namespace secproc::update

@@ -10,7 +10,6 @@
 
 #include "xom/program_image.hh"
 
-#include "util/logging.hh"
 #include "util/serialize.hh"
 
 namespace secproc::xom
@@ -73,12 +72,6 @@ ProgramImage::serialize() const
 }
 
 std::optional<ProgramImage>
-ProgramImage::tryDeserialize(const std::vector<uint8_t> &data)
-{
-    return tryDeserialize(std::span<const uint8_t>(data));
-}
-
-std::optional<ProgramImage>
 ProgramImage::tryDeserialize(std::span<const uint8_t> data)
 {
     util::ByteReader reader(data);
@@ -114,15 +107,6 @@ ProgramImage::tryDeserialize(std::span<const uint8_t> data)
     if (!reader.atEnd())
         return std::nullopt;
     return image;
-}
-
-ProgramImage
-ProgramImage::deserialize(const std::vector<uint8_t> &data)
-{
-    auto image = tryDeserialize(data);
-    fatal_if(!image.has_value(),
-             "malformed program image (", data.size(), " bytes)");
-    return std::move(*image);
 }
 
 } // namespace secproc::xom

@@ -71,21 +71,15 @@ struct ProgramImage
     /** Bytes serialize() would produce. */
     uint64_t serializedSize() const;
 
-    /** Parse a serialized image; fatal on malformed input. */
-    static ProgramImage deserialize(const std::vector<uint8_t> &data);
-
     /**
      * Parse bytes that crossed a trust boundary (an update bundle,
      * a staged slot): std::nullopt on malformed input, never fatal.
-     * The span form parses in place (e.g. a blob view into a larger
-     * framed buffer); section bytes are still copied out, since the
-     * parsed image owns its contents. @{
+     * Parses in place (e.g. a blob view into a larger framed
+     * buffer); section bytes are still copied out, since the parsed
+     * image owns its contents.
      */
     static std::optional<ProgramImage>
-    tryDeserialize(const std::vector<uint8_t> &data);
-    static std::optional<ProgramImage>
     tryDeserialize(std::span<const uint8_t> data);
-    /** @} */
 };
 
 } // namespace secproc::xom

@@ -2,7 +2,8 @@
  * @file
  * Fleet-scale staged-rollout tests: the shared OTA schedule and the
  * calibrated cost models pinned, ground-truth agreement of the
- * install cost model, canary halt + rollback mechanics,
+ * install cost model and the idle machine it runs on, canary halt +
+ * rollback mechanics,
  * thread-count determinism, reports and ledgers pinned to recorded
  * hashes, the rollout's peak heap per device, and a million-device
  * convergence run.
@@ -22,6 +23,12 @@
 #include "fleet/rollout.hh"
 #include "fleet/vendor.hh"
 #include "ota/transport.hh"
+#include "secure/key_table.hh"
+#include "sim/profiles.hh"
+#include "sim/system.hh"
+#include "update/live_install.hh"
+#include "update/rollback_store.hh"
+#include "update/update_engine.hh"
 
 namespace
 {
@@ -316,6 +323,124 @@ TEST(FleetRollout, GroundTruthWithinDocumentedTolerance)
             << gt.predicted_cycles << " vs measured "
             << gt.measured_cycles;
         EXPECT_TRUE(gt.within_tolerance);
+    }
+}
+
+/** What one ground-truth install leaves behind on its machine. */
+struct GroundTruthRun
+{
+    uint64_t install_cycles = 0;
+    std::vector<uint64_t> phase_cycles;
+    uint64_t activated_at = 0;
+    uint64_t staged_bytes = 0;
+    bool ok = false;
+    std::vector<uint8_t> active_slot;
+    uint64_t update_bytes = 0;
+    uint64_t total_bytes = 0;
+};
+
+/** Run a ground-truth device's install of @p release on @p system,
+ *  with runGroundTruth's settings. */
+GroundTruthRun
+groundTruthInstall(sim::System &system, const VendorService &vendor,
+                   const ReleaseInfo &release, LinkClass link,
+                   bool via_delta)
+{
+    secure::KeyTable keys;
+    update::RollbackStore rollback(64);
+    update::UpdateEngine updater(
+        vendor.vendorPublicKey(), vendor.deviceClassKey(), keys,
+        rollback, update::StagingConfig{0x4000'0000, 8ull << 20});
+
+    update::LiveInstallConfig live_config;
+    live_config.line_bytes = 128; // paperConfig's L2 line
+    live_config.pacing = update::InstallPacing::Fixed;
+    live_config.transport = linkTransport(link);
+    live_config.transport.seed = 0x6077;
+    update::LiveInstall live(live_config, system, updater, 1);
+    system.attachAgent(&live);
+
+    if (via_delta) {
+        const ReleaseInfo &base =
+            vendor.release(release.delta_base_version);
+        EXPECT_TRUE(updater.stage(base.bundle, system.mainMemory()).ok());
+        EXPECT_TRUE(updater
+                        .activate(1, system.mainMemory(),
+                                  system.virtualMemory(),
+                                  update::kLiveImageAsid, system.engine())
+                        .ok());
+        live.startDelta(release.delta, 0);
+    } else {
+        live.start(release.bundle, 0);
+    }
+    live.replay();
+
+    GroundTruthRun run;
+    run.install_cycles = live.installCycles();
+    for (const auto phase :
+         {update::LiveInstallPhase::Admission,
+          update::LiveInstallPhase::Stage,
+          update::LiveInstallPhase::Reverify,
+          update::LiveInstallPhase::Load,
+          update::LiveInstallPhase::Attest})
+        run.phase_cycles.push_back(live.phaseCycles(phase));
+    run.activated_at = live.activatedAt();
+    run.staged_bytes = live.stagedBytesWritten();
+    run.ok = live.result().has_value() && live.result()->ok();
+    const uint32_t slot = updater.activeSlot();
+    run.active_slot.resize(
+        updater.framedExtent(slot, system.mainMemory()).value_or(0));
+    system.mainMemory().read(updater.slotBase(slot),
+                             run.active_slot.data(),
+                             run.active_slot.size());
+    run.update_bytes = system.channel().updateBytes();
+    run.total_bytes = system.channel().totalBytes();
+    return run;
+}
+
+// A ground-truth install replays on its own clock and the foreground
+// never runs, so the idle machine runGroundTruth builds must measure
+// exactly what a loaded gcc OTP+SNC machine measures, in every engine
+// latency x link x {full bundle, delta} cell.
+TEST(FleetRollout, GroundTruthIdleMachineMatchesLoadedMachine)
+{
+    VendorService vendor(VendorConfig{});
+    vendor.publish(1, 1, 1);
+    const ReleaseInfo &release = vendor.publish(2, 2, 2, -1, 0.0, 0, 1);
+
+    for (const uint32_t latency : {50u, 102u}) {
+        sim::SystemConfig config =
+            sim::paperConfig(secure::SecurityModel::OtpSnc);
+        config.protection.crypto.latency = latency;
+        for (const LinkClass link :
+             {LinkClass::Fiber, LinkClass::Broadband,
+              LinkClass::Cellular}) {
+            for (const bool via_delta : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << latency << "c " << linkClassName(link)
+                             << (via_delta ? " delta" : " full"));
+                sim::SyntheticWorkload gcc(sim::benchmarkProfile("gcc"),
+                                           config.l2.line_size);
+                sim::System loaded(config, gcc);
+                sim::System idle(config, std::vector<sim::TaskSpec>{});
+                const GroundTruthRun want = groundTruthInstall(
+                    loaded, vendor, release, link, via_delta);
+                const GroundTruthRun got = groundTruthInstall(
+                    idle, vendor, release, link, via_delta);
+
+                EXPECT_TRUE(want.ok);
+                EXPECT_TRUE(got.ok);
+                EXPECT_GT(got.install_cycles, 0u);
+                EXPECT_EQ(got.install_cycles, want.install_cycles);
+                EXPECT_EQ(got.phase_cycles, want.phase_cycles);
+                EXPECT_EQ(got.activated_at, want.activated_at);
+                EXPECT_EQ(got.staged_bytes, want.staged_bytes);
+                EXPECT_FALSE(got.active_slot.empty());
+                EXPECT_EQ(got.active_slot, want.active_slot);
+                EXPECT_EQ(got.update_bytes, want.update_bytes);
+                EXPECT_EQ(got.total_bytes, want.total_bytes);
+            }
+        }
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Multi-programming tests: compartment-isolated tasks sharing one
  * secure processor, context-switch policies for the SNC (paper
- * Section 4.3), and scheduler accounting.
+ * Section 4.3), scheduler accounting, and the idle machine an empty
+ * task list builds.
  */
 
 #include <gtest/gtest.h>
@@ -185,15 +186,51 @@ TEST(MultiTask, SwitchToTaskValidatesIndex)
         system.switchToTask(3, SncSwitchPolicy::Tag), "no task");
 }
 
-TEST(MultiTask, EmptyTaskSetIsFatal)
+/** The paper's OTP+SNC machine, LRU or no-replacement SNC. */
+SystemConfig
+otpSncConfig(bool allow_replacement)
 {
-    EXPECT_DEATH_IF_SUPPORTED(
-        {
-            System system(paperConfig(secure::SecurityModel::OtpSnc),
-                          std::vector<TaskSpec>{});
-            (void)system;
-        },
-        "at least one task");
+    SystemConfig config = paperConfig(secure::SecurityModel::OtpSnc);
+    config.protection.snc.allow_replacement = allow_replacement;
+    return config;
+}
+
+uint64_t
+sncOccupancy(const System &system)
+{
+    return dynamic_cast<const secure::OtpEngine &>(system.engine())
+        .snc()
+        .occupancy();
+}
+
+// An empty task list builds an idle machine: no program has run, so
+// its SNC holds nothing under either policy, and there is nothing for
+// run() to execute.
+TEST(MultiTask, EmptyTaskSetIsAnIdleMachine)
+{
+    for (const bool lru : {true, false}) {
+        System system(otpSncConfig(lru), std::vector<TaskSpec>{});
+        EXPECT_EQ(system.taskCount(), 0u);
+        EXPECT_EQ(sncOccupancy(system), 0u) << (lru ? "LRU" : "NoRepl");
+        EXPECT_DEATH_IF_SUPPORTED(system.run(1), "idle machine");
+    }
+}
+
+// The history fill models a long-running program's past, so a loaded
+// LRU machine starts with its SNC full; a no-replacement SNC holds
+// only the lines the program's first writes claimed (gzip's 96 KB
+// hot region).
+TEST(MultiTask, LoadedLruMachinesStartWithHistory)
+{
+    SyntheticWorkload lru_gzip(benchmarkProfile("gzip"), 128);
+    const System lru(otpSncConfig(true), lru_gzip);
+    EXPECT_EQ(sncOccupancy(lru), 32'768u);
+    EXPECT_EQ(sncOccupancy(lru),
+              otpSncConfig(true).protection.snc.entries());
+
+    SyntheticWorkload norepl_gzip(benchmarkProfile("gzip"), 128);
+    const System norepl(otpSncConfig(false), norepl_gzip);
+    EXPECT_EQ(sncOccupancy(norepl), 96u * 1024 / 128);
 }
 
 TEST(MultiTask, BaselineAndXomModelsRunMultiprogrammed)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Trace record/replay tests: bit-exact round trips, cycle-identical
- * System replays, wrap semantics, and malformed-input rejection.
+ * System replays, wrap semantics, and malformed-input rejection
+ * (including lengths, counts and enums crafted past their bounds).
  */
 
 #include <gtest/gtest.h>
@@ -187,6 +188,94 @@ TEST(TraceIo, RejectsMissingFile)
             (void)replay;
         },
         "cannot open");
+}
+
+/**
+ * Write a minimal valid trace to @p path and return its bytes: an
+ * unnamed profile with one @p behavior region, an empty live-line
+ * list and no ops. The file ends in the list's one-byte count (0)
+ * and the u64 op count (0), which the tests below patch.
+ */
+std::vector<uint8_t>
+minimalTrace(const TempTrace &path,
+             RegionBehavior behavior = RegionBehavior::Hot)
+{
+    TraceImage image;
+    image.profile.name.clear();
+    DataRegion region;
+    region.behavior = behavior;
+    image.profile.regions = {region};
+    image.live_lines = {{}};
+    writeTrace(path.str(), image);
+    FILE *f = std::fopen(path.str().c_str(), "rb");
+    std::vector<uint8_t> bytes(std::filesystem::file_size(path.str()));
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return bytes;
+}
+
+void
+writeBytes(const TempTrace &path, const std::vector<uint8_t> &bytes)
+{
+    FILE *f = std::fopen(path.str().c_str(), "wb");
+    std::fwrite(bytes.data(), 1, bytes.size(), f);
+    std::fclose(f);
+}
+
+/** LEB128 encoding of @p v, the format's length and count varint. */
+std::vector<uint8_t>
+varint(uint64_t v)
+{
+    std::vector<uint8_t> out;
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<uint8_t>(v) | 0x80);
+    out.push_back(static_cast<uint8_t>(v));
+    return out;
+}
+
+// Lengths and counts come from the file: each must be checked against
+// the bytes left before it sizes a string or a reservation, or the
+// reader dies on an uncaught std::length_error instead of its own
+// fatal().
+TEST(TraceIo, RejectsNameLengthPastTheEnd)
+{
+    TempTrace path("name_len");
+    std::vector<uint8_t> bytes = minimalTrace(path);
+    // The name's length varint sits right after magic and version.
+    ASSERT_EQ(bytes[8], 0u);
+    const std::vector<uint8_t> huge = varint(~uint64_t{0});
+    bytes.insert(bytes.erase(bytes.begin() + 8), huge.begin(), huge.end());
+    writeBytes(path, bytes);
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()), "truncated");
+}
+
+TEST(TraceIo, RejectsLiveLineCountPastTheEnd)
+{
+    TempTrace path("live_count");
+    std::vector<uint8_t> bytes = minimalTrace(path);
+    const auto count = bytes.end() - 9;
+    ASSERT_EQ(*count, 0u);
+    const std::vector<uint8_t> huge = varint((uint64_t{1} << 62) - 1);
+    bytes.insert(bytes.erase(count), huge.begin(), huge.end());
+    writeBytes(path, bytes);
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()), "truncated");
+}
+
+TEST(TraceIo, RejectsOpCountPastTheEnd)
+{
+    TempTrace path("op_count");
+    std::vector<uint8_t> bytes = minimalTrace(path);
+    std::fill(bytes.end() - 8, bytes.end(), 0xFF);
+    writeBytes(path, bytes);
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()), "truncated");
+}
+
+TEST(TraceIo, RejectsUnknownRegionBehavior)
+{
+    TempTrace path("behavior");
+    minimalTrace(path, static_cast<RegionBehavior>(127));
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()),
+                              "corrupt region behavior");
 }
 
 TEST(TraceIo, CompressionIsCompact)

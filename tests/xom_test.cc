@@ -96,7 +96,10 @@ TEST(ProgramImage, SerializeRoundTrip)
                       rng, kLine);
 
     const auto bytes = image.serialize();
-    const ProgramImage back = ProgramImage::deserialize(bytes);
+    const std::optional<ProgramImage> parsed =
+        ProgramImage::tryDeserialize(bytes);
+    ASSERT_TRUE(parsed.has_value());
+    const ProgramImage &back = *parsed;
     EXPECT_EQ(back.title, image.title);
     EXPECT_EQ(back.entry_point, image.entry_point);
     EXPECT_EQ(back.key_capsule, image.key_capsule);
