@@ -11,6 +11,8 @@
 
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -74,6 +76,109 @@ Cache::pushBack(uint64_t set, uint32_t idx)
     tail_[set] = idx;
     if (head_[set] == kNoEntry)
         head_[set] = idx;
+}
+
+Cache::RunShape
+Cache::runShape(uint64_t first, uint64_t count, uint64_t stride) const
+{
+    panic_if(config_.policy == ReplacementPolicy::Random,
+             config_.name, ": a bulk fill needs a fixed victim order");
+    fatal_if(count > 1 && (count - 1) > (~uint64_t{0} - first) /
+                                            std::max<uint64_t>(stride, 1),
+             config_.name, ": bulk fill run wraps the address space");
+    fatal_if(stride > config_.line_size && stride % config_.line_size != 0,
+             config_.name, ": bulk fill stride ", stride,
+             " is neither within a line nor a multiple of one");
+    RunShape shape;
+    shape.first_line = first >> line_shift_;
+    shape.per_access = stride >= config_.line_size;
+    if (shape.per_access) {
+        shape.lines = count;
+        shape.step = stride >> line_shift_;
+    } else {
+        shape.lines =
+            ((first + (count - 1) * stride) >> line_shift_) -
+            shape.first_line + 1;
+    }
+    // Consecutive lines step through the sets by `step`: the sequence
+    // repeats after num_sets / gcd(step, num_sets) lines, a power of
+    // two because num_sets is one.
+    const uint64_t gcd =
+        std::min<uint64_t>(shape.step & (~shape.step + 1), num_sets_);
+    shape.period_shift = util::floorLog2(num_sets_ / gcd);
+    shape.touched = std::min<uint64_t>(
+        shape.lines, uint64_t{1} << shape.period_shift);
+    return shape;
+}
+
+uint32_t
+Cache::placeRunSet(const RunShape &shape, uint64_t first_m,
+                   const std::function<void(const Victim &)> &displaced)
+{
+    const uint64_t set =
+        setIndex(shape.first_line + first_m * shape.step);
+    // Fills the run makes in this set: its lines first_m, first_m +
+    // period, ... Fill j takes way R[j mod ways_] of the set's
+    // recency list read from the tail (R), so each way ends holding
+    // the last fill j < fills with j = r (mod ways_), and the first
+    // min(fills, ways_) ways of R are the ones displaced.
+    const uint64_t fills =
+        (shape.lines - first_m + (uint64_t{1} << shape.period_shift) - 1) >>
+        shape.period_shift;
+    const bool refuse = config_.policy == ReplacementPolicy::NoReplacement;
+    const uint64_t reached = std::min<uint64_t>(fills, ways_);
+    // Fills the run evicts again (NoReplacement evicts nothing).
+    const uint64_t evicted = refuse ? 0 : fills - reached;
+    const uint64_t skew = evicted % ways_;
+    uint32_t taken = 0;
+    uint32_t newest = kNoEntry; // way of the last fill: the new head
+    util::RadixArray<uint32_t>::Cursor directory(map_);
+    uint32_t idx = tail_[set];
+    for (uint64_t r = 0; r < reached; ++r, idx = prev_[idx]) {
+        Line &slot = lines_[idx];
+        if (tag_words_[idx] & 1) {
+            if (refuse)
+                break; // the set is full: the rest are refused
+            Victim victim;
+            victim.valid = true;
+            victim.dirty = slot.dirty;
+            victim.line_addr = (tag_words_[idx] >> 1) << line_shift_;
+            victim.meta = slot.meta;
+            victim.entry = idx;
+            if (!scan_ways_)
+                map_.erase(tag_words_[idx] >> 1);
+            ++evictions_;
+            if (slot.dirty)
+                ++dirty_evictions_;
+            --occupancy_;
+            displaced(victim);
+        } else {
+            ++taken;
+        }
+        const uint64_t j =
+            evicted + (r >= skew ? r - skew : r + ways_ - skew);
+        const uint64_t line =
+            shape.first_line +
+            (first_m + (j << shape.period_shift)) * shape.step;
+        tag_words_[idx] = (line << 1) | 1;
+        slot = Line{};
+        if (!scan_ways_)
+            directory.touch(line) = idx;
+        ++occupancy_;
+        if (refuse || j + 1 == fills)
+            newest = idx;
+    }
+    if (newest != kNoEntry && head_[set] != newest) {
+        // Rotate the list: close it into a ring and reopen it just
+        // before the newest fill.
+        next_[tail_[set]] = head_[set];
+        prev_[head_[set]] = tail_[set];
+        tail_[set] = prev_[newest];
+        next_[tail_[set]] = kNoEntry;
+        prev_[newest] = kNoEntry;
+        head_[set] = newest;
+    }
+    return taken;
 }
 
 std::optional<Victim>

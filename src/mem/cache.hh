@@ -17,6 +17,7 @@
 #define SECPROC_MEM_CACHE_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,6 +69,29 @@ struct Victim
     /**
      * Directory entry the line occupied. From fill() this is the entry
      * the new line now occupies, whether or not anything was displaced.
+     */
+    uint32_t entry = kNoEntry;
+};
+
+/** What one access of a bulk fill (Cache::fillRun) did, in run order. */
+struct RunAccess
+{
+    enum class Kind : uint8_t
+    {
+        /** First access of its line: the line was filled. */
+        Filled,
+        /** A later access of a line the run filled. */
+        Hit,
+        /** The fill was refused (NoReplacement, set full). */
+        Rejected,
+    };
+    Kind kind = Kind::Filled;
+    /** Filled only: a valid line was evicted to make room. */
+    bool displaced = false;
+    /**
+     * Entry holding the line once the whole run is in; kNoEntry when
+     * a later fill of the same run evicted it, or the fill was
+     * refused.
      */
     uint32_t entry = kNoEntry;
 };
@@ -143,6 +167,64 @@ class Cache
     /** Mark a resident line dirty (store to an already-present line). */
     bool setDirty(uint64_t addr);
 
+    /**
+     * Bulk write-allocate of a fresh run: for each i < @p count in
+     * order, @p probes write lookups of first + i * stride and, when
+     * they miss, fill(addr, false, 0). The lines, the recency lists and
+     * every statistic end exactly as those calls leave them, but each
+     * set the run touches is written in one pass over its ways. Fills
+     * take a set's ways from its recency tail in turn, so the set ends
+     * holding its last fills, newest first, in its recency list
+     * rotated by the number of fills it took.
+     *
+     * No line of the run may be resident. The stride is at most a
+     * line (consecutive lines, each accessed one or more times) or a
+     * multiple of one (one access per line), and the run must not wrap
+     * the address space; the policy is LRU, FIFO or NoReplacement.
+     * @p displaced receives every line resident before the run that
+     * the run evicts, with the entry it held; then @p access(i, const
+     * RunAccess &) is called for every access in run order.
+     */
+    template <class Access>
+    void fillRun(uint64_t first, uint64_t count, uint64_t stride,
+                 uint32_t probes,
+                 const std::function<void(const Victim &)> &displaced,
+                 Access &&access);
+
+    /** Sets and ways per set. @{ */
+    uint64_t sets() const { return num_sets_; }
+    uint32_t ways() const { return ways_; }
+    /** @} */
+
+    /** Set that @p addr's line maps to. */
+    uint64_t setOf(uint64_t addr) const
+    {
+        return setIndex(addr >> line_shift_);
+    }
+
+    /**
+     * Walk set @p set's ways from most to least recently used (invalid
+     * ways last), calling fn(entry) until it returns false.
+     */
+    template <class Fn>
+    void
+    walkSet(uint64_t set, Fn &&fn) const
+    {
+        for (uint32_t idx = head_[set]; idx != kNoEntry; idx = next_[idx]) {
+            if (!fn(idx))
+                return;
+        }
+    }
+
+    /** Line address held by @p entry, or nullopt if the way is invalid. */
+    std::optional<uint64_t>
+    entryLine(uint32_t entry) const
+    {
+        if (!(tag_words_[entry] & 1))
+            return std::nullopt;
+        return (tag_words_[entry] >> 1) << line_shift_;
+    }
+
     /** Number of currently valid lines. */
     uint64_t occupancy() const { return occupancy_; }
 
@@ -216,6 +298,36 @@ class Cache
     void unlink(uint64_t set, uint32_t idx);
     void pushFront(uint64_t set, uint32_t idx);
     void pushBack(uint64_t set, uint32_t idx);
+
+    /**
+     * A fillRun's lines: the m-th distinct line is first_line + m *
+     * step (m < lines), and it maps to the same set as line m mod
+     * 2^period_shift, the period of the run's set sequence.
+     */
+    struct RunShape
+    {
+        uint64_t first_line = 0;
+        uint64_t lines = 0;
+        uint64_t step = 1;
+        unsigned period_shift = 0;
+        /** Sets the run touches: min(lines, period). */
+        uint64_t touched = 0;
+        /** One access per line (stride of at least a line). */
+        bool per_access = false;
+    };
+
+    RunShape runShape(uint64_t first, uint64_t count,
+                      uint64_t stride) const;
+
+    /**
+     * fillRun's directory pass for the set of the run's line
+     * @p first_m (< period): displace, retag and rotate in one walk
+     * from the set's recency tail. @return the set's free ways the
+     * run took (all its fills, under NoReplacement).
+     */
+    uint32_t placeRunSet(const RunShape &shape, uint64_t first_m,
+                         const std::function<void(const Victim &)>
+                             &displaced);
 };
 
 // The lookup path (lookup / find / findIdx and the LRU splice) runs
@@ -307,6 +419,78 @@ Cache::setDirty(uint64_t addr)
         return false;
     lines_[idx].dirty = true;
     return true;
+}
+
+template <class Access>
+void
+Cache::fillRun(uint64_t first, uint64_t count, uint64_t stride,
+               uint32_t probes,
+               const std::function<void(const Victim &)> &displaced,
+               Access &&access)
+{
+    if (count == 0)
+        return;
+    const RunShape shape = runShape(first, count, stride);
+    const uint64_t period_mask = (uint64_t{1} << shape.period_shift) - 1;
+    // Directory first: a free way the run took is one whose fill
+    // displaced nothing, and under NoReplacement the fills past them
+    // are the refused ones.
+    std::vector<uint32_t> taken(shape.touched);
+    for (uint64_t m = 0; m < shape.touched; ++m)
+        taken[m] = placeRunSet(shape, m, displaced);
+
+    const bool refuse = config_.policy == ReplacementPolicy::NoReplacement;
+    util::RadixArray<uint32_t>::Cursor directory(map_);
+    uint64_t line = 0;
+    RunAccess state;
+    bool dirty = false;
+    for (uint64_t i = 0; i < count; ++i) {
+        const uint64_t line_number = (first + i * stride) >> line_shift_;
+        if (i > 0 && line_number == line) {
+            if (state.kind == RunAccess::Kind::Rejected) {
+                misses_ += probes;
+                ++rejected_fills_;
+            } else {
+                // A write hit on the set's newest line: no recency
+                // change, but the line is dirty from here on.
+                state.kind = RunAccess::Kind::Hit;
+                state.displaced = false;
+                hits_ += probes;
+                if (!dirty) {
+                    dirty = true;
+                    if (state.entry != kNoEntry)
+                        lines_[state.entry].dirty = true;
+                    else
+                        ++dirty_evictions_; // the run evicts it later
+                }
+            }
+            access(i, state);
+            continue;
+        }
+        line = line_number;
+        dirty = false;
+        const uint64_t m =
+            shape.per_access ? i : line_number - shape.first_line;
+        const uint64_t first_m = m & period_mask;
+        const uint64_t j = m >> shape.period_shift; // fill index in set
+        const uint64_t fills =
+            (shape.lines - first_m + period_mask) >> shape.period_shift;
+        misses_ += probes;
+        state = RunAccess{};
+        if (refuse && j >= taken[first_m]) {
+            state.kind = RunAccess::Kind::Rejected;
+            ++rejected_fills_;
+        } else {
+            state.displaced = !refuse && j >= taken[first_m];
+            if (refuse || j + ways_ >= fills) {
+                state.entry = scan_ways_ ? findIdx(line_number)
+                                         : *directory.find(line_number);
+            } else {
+                ++evictions_; // fill j + ways_ of the run evicts it
+            }
+        }
+        access(i, state);
+    }
 }
 
 } // namespace secproc::mem

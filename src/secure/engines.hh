@@ -32,6 +32,12 @@ class BaselineEngine : public ProtectionEngine
                       mem::RegionKind kind) override;
     EvictPlan planEvict(uint64_t line_va,
                         mem::RegionKind kind) override;
+    /** Every line of the run becomes Plain. */
+    void warmRun(uint64_t first_va, uint64_t count, uint64_t stride,
+                 const WarmVisit &visit) override
+    {
+        warmStates(first_va, count, stride, LineCipherState::Plain, visit);
+    }
     FillResult scheduleFill(const FillPlan &plan,
                             uint64_t cycle) override;
     void scheduleEvict(const EvictPlan &plan, uint64_t cycle) override;
@@ -57,6 +63,13 @@ class XomEngine : public ProtectionEngine
                       mem::RegionKind kind) override;
     EvictPlan planEvict(uint64_t line_va,
                         mem::RegionKind kind) override;
+    /** Every line of the run becomes Direct. */
+    void warmRun(uint64_t first_va, uint64_t count, uint64_t stride,
+                 const WarmVisit &visit) override
+    {
+        warmStates(first_va, count, stride, LineCipherState::Direct,
+                   visit);
+    }
     FillResult scheduleFill(const FillPlan &plan,
                             uint64_t cycle) override;
     void scheduleEvict(const EvictPlan &plan, uint64_t cycle) override;
@@ -90,6 +103,22 @@ class OtpEngine : public ProtectionEngine
                       mem::RegionKind kind) override;
     EvictPlan planEvict(uint64_t line_va,
                         mem::RegionKind kind) override;
+    /**
+     * Sectors of the run are placed in closed form
+     * (SequenceNumberCache::warmRun); a sector that also holds an
+     * OTP line outside the run goes through planEvict line by line,
+     * since its install would find it resident or cofetch into it.
+     */
+    void warmRun(uint64_t first_va, uint64_t count, uint64_t stride,
+                 const WarmVisit &visit) override;
+
+    /**
+     * The history fill (LRU only): warm never-written filler lines
+     * from the sector-aligned @p first_filler_va on until occupancy()
+     * equals entries(), stopping exactly where a planEvict loop
+     * guarded by that test stops.
+     */
+    void fillHistory(uint64_t first_filler_va);
     FillResult scheduleFill(const FillPlan &plan,
                             uint64_t cycle) override;
     void scheduleEvict(const EvictPlan &plan, uint64_t cycle) override;
@@ -154,6 +183,15 @@ class OtpEngine : public ProtectionEngine
     util::Counter pad_prediction_hits_;
 
     uint32_t wrapIncrement(uint32_t seqnum);
+
+    /** warmRun's per-line path: lines [begin, end) of the run. */
+    void warmLines(uint64_t first_va, uint64_t begin, uint64_t end,
+                   uint64_t stride, const WarmVisit &visit);
+
+    /** warmRun's closed form: lines [begin, end) of the run. */
+    void warmSectors(uint64_t first_va, uint64_t begin, uint64_t end,
+                     uint64_t stride, const WarmVisit &visit);
+
     void installWithSpill(uint64_t line_va, uint32_t seqnum,
                           EvictPlan *plan);
 

@@ -17,7 +17,10 @@
 
 #include "secure/engines.hh"
 
+#include <algorithm>
+
 #include "crypto/block_cipher.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace secproc::secure
@@ -217,6 +220,115 @@ OtpEngine::planEvict(uint64_t line_va, mem::RegionKind kind)
     }
     line_states_.insert(lineIdx(line_va), plan.state);
     return plan;
+}
+
+void
+OtpEngine::warmRun(uint64_t first_va, uint64_t count, uint64_t stride,
+                   const WarmVisit &visit)
+{
+    checkRun(first_va, count, stride);
+    const uint64_t line = config_.line_size;
+    const uint64_t span = snc_.config().sectorSpan();
+    const uint32_t sector_lines = snc_.config().sector_lines;
+    if (stride > span && stride % span != 0) {
+        // The directory's closed form needs the run's sectors evenly
+        // spaced; no profile's stride is anything else.
+        warmLines(first_va, 0, count, stride, visit);
+        return;
+    }
+
+    // Closed-form segments between edge sectors: sectors the run
+    // covers only in part whose other lines include an OTP one (a
+    // neighbouring region's). Lines of the run are never written, so
+    // any OTP line of the sector lies outside the run.
+    const auto written = [&](uint64_t sector) {
+        for (uint32_t k = 0; k < sector_lines; ++k) {
+            if (lineState(sector + k * line) == LineCipherState::Otp)
+                return true;
+        }
+        return false;
+    };
+    uint64_t segment = 0;
+    for (uint64_t i = 0; sector_lines > 1 && i < count;) {
+        const uint64_t va = first_va + i * stride;
+        const uint64_t sector = va & ~(span - 1);
+        const uint64_t next = sector + span; // 0 past the top sector
+        // A zero stride only comes with a one-line run.
+        const uint64_t end =
+            next == 0 || stride == 0
+                ? count
+                : std::min(count, i + util::ceilDiv(next - va, stride));
+        if (end - i < sector_lines && written(sector)) {
+            warmSectors(first_va, segment, i, stride, visit);
+            warmLines(first_va, i, end, stride, visit);
+            segment = end;
+        }
+        i = end;
+        if (stride == line && i < count) {
+            // A contiguous run covers its inner sectors whole: only
+            // the last can be partial.
+            const uint64_t last = first_va + (count - 1) * stride;
+            i = std::max(i, count - 1 - ((last & (span - 1)) / line));
+        }
+    }
+    warmSectors(first_va, segment, count, stride, visit);
+}
+
+void
+OtpEngine::warmLines(uint64_t first_va, uint64_t begin, uint64_t end,
+                     uint64_t stride, const WarmVisit &visit)
+{
+    for (uint64_t i = begin; i < end; ++i) {
+        const uint64_t line_va = first_va + i * stride;
+        fatal_if(lineState(line_va) != LineCipherState::Unwritten,
+                 "warm run line ", line_va, " was already written");
+        const EvictPlan plan =
+            planEvict(line_va, mem::RegionKind::Protected);
+        if (visit)
+            visit(plan);
+    }
+}
+
+void
+OtpEngine::warmSectors(uint64_t first_va, uint64_t begin, uint64_t end,
+                       uint64_t stride, const WarmVisit &visit)
+{
+    if (begin == end)
+        return;
+    // planEvict's update miss on a never-written line: sequence
+    // number 0 incremented, installed (LRU), or installed while the
+    // set has a free way and direct-encrypted after (no replacement).
+    const uint64_t run_va = first_va + begin * stride;
+    const uint32_t seqnum = wrapIncrement(0);
+    util::RadixArray<LineCipherState>::Cursor states(line_states_);
+    util::RadixArray<uint32_t>::Cursor spills(memory_table_);
+    snc_.warmRun(
+        run_va, end - begin, stride, seqnum,
+        [&](const SncEntry &spilled) {
+            spills.touch(spilled.line_va >> line_shift_) = spilled.seqnum;
+        },
+        [&](uint64_t i, bool installed, bool spilled) {
+            EvictPlan plan;
+            plan.line_va = run_va + i * stride;
+            plan.snc_update_miss = true;
+            plan.victim_spilled = spilled;
+            if (installed) {
+                plan.state = LineCipherState::Otp;
+                plan.seqnum = seqnum;
+            } else {
+                plan.state = LineCipherState::Direct;
+            }
+            markWarm(states, plan.line_va, plan.state);
+            if (visit)
+                visit(plan);
+        });
+}
+
+void
+OtpEngine::fillHistory(uint64_t first_filler_va)
+{
+    warmRun(first_filler_va, snc_.linesUntilFull(first_filler_va),
+            config_.line_size, {});
 }
 
 FillResult

@@ -25,6 +25,7 @@ ProtectionEngine::ProtectionEngine(const ProtectionConfig &config,
 {
     fatal_if(!util::isPowerOfTwo(config_.line_size),
              "line size must be a power of two");
+    line_shift_ = util::floorLog2(config_.line_size);
 }
 
 LineCipherState
@@ -41,6 +42,46 @@ ProtectionEngine::setLineState(uint64_t line_va, LineCipherState state,
     line_states_.insert(lineIdx(line_va), state);
     if (state == LineCipherState::Otp)
         preset_seqnums_.insert(lineIdx(line_va), seqnum);
+}
+
+void
+ProtectionEngine::checkRun(uint64_t first_va, uint64_t count,
+                           uint64_t stride) const
+{
+    if (count <= 1)
+        return;
+    fatal_if(stride < config_.line_size, "warm run stride ", stride,
+             " revisits ", config_.line_size, "-byte lines");
+    fatal_if(count - 1 > (~uint64_t{0} - first_va) / stride,
+             "warm run from ", first_va, " wraps the address space");
+}
+
+void
+ProtectionEngine::markWarm(
+    util::RadixArray<LineCipherState>::Cursor &states, uint64_t line_va,
+    LineCipherState state)
+{
+    LineCipherState &slot = states.touch(line_va >> line_shift_);
+    fatal_if(slot != LineCipherState::Unwritten, "warm run line ",
+             line_va, " was already written");
+    slot = state;
+}
+
+void
+ProtectionEngine::warmStates(uint64_t first_va, uint64_t count,
+                             uint64_t stride, LineCipherState state,
+                             const WarmVisit &visit)
+{
+    checkRun(first_va, count, stride);
+    util::RadixArray<LineCipherState>::Cursor states(line_states_);
+    EvictPlan plan;
+    plan.state = state;
+    for (uint64_t i = 0; i < count; ++i) {
+        plan.line_va = first_va + i * stride;
+        markWarm(states, plan.line_va, state);
+        if (visit)
+            visit(plan);
+    }
 }
 
 void

@@ -27,6 +27,7 @@
 #define SECPROC_SECURE_PROTECTION_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -133,6 +134,9 @@ struct EvictPlan
     bool seqnum_fetched = false;
 };
 
+/** Per-line callback of ProtectionEngine::warmRun. */
+using WarmVisit = std::function<void(const EvictPlan &)>;
+
 /** Timing outcome of a line fill. */
 struct FillResult
 {
@@ -186,6 +190,24 @@ class ProtectionEngine
      */
     virtual EvictPlan planEvict(uint64_t line_va,
                                 mem::RegionKind kind) = 0;
+
+    /**
+     * Warm a run of never-written lines in bulk: the @p count lines
+     * first_va + i * stride (no two in one line) end with exactly the
+     * state and statistics that count successive
+     * planEvict(first_va + i * stride, RegionKind::Protected) calls
+     * leave — line states, SNC directory, recency and slots, spill
+     * table and counters alike. This is how a machine is brought to
+     * the steady state the paper measures in.
+     *
+     * Precondition: no line of the run has a cipher state yet, and
+     * the run does not wrap the address space; a violation is fatal.
+     * @p visit receives each line's EvictPlan once, in run order
+     * (the functional plane encrypts and writes the line there); an
+     * empty @p visit skips that.
+     */
+    virtual void warmRun(uint64_t first_va, uint64_t count,
+                         uint64_t stride, const WarmVisit &visit) = 0;
 
     // --------------------------------------------------- schedule phase
 
@@ -301,6 +323,31 @@ class ProtectionEngine
     /** Line index -> seqnum for lines recorded via setLineState or
      *  tracked outside the SNC (spill table is engine-specific). */
     util::RadixArray<uint32_t> preset_seqnums_;
+
+    /**
+     * log2 of the line size. Warm runs touch every preinitialized
+     * line, so they index the per-line tables with this shift rather
+     * than lineIdx's division.
+     */
+    unsigned line_shift_;
+
+    /** warmRun's argument checks (stride and wrap). */
+    void checkRun(uint64_t first_va, uint64_t count,
+                  uint64_t stride) const;
+
+    /**
+     * Record a warm run line's cipher @p state through @p states (a
+     * cursor on line_states_); fatal unless the line had none.
+     */
+    void markWarm(util::RadixArray<LineCipherState>::Cursor &states,
+                  uint64_t line_va, LineCipherState state);
+
+    /**
+     * warmRun for engines whose protected write-back only records
+     * @p state for the line: one pass over the run.
+     */
+    void warmStates(uint64_t first_va, uint64_t count, uint64_t stride,
+                    LineCipherState state, const WarmVisit &visit);
 
     /** Key of the per-line flat tables. */
     uint64_t

@@ -13,6 +13,8 @@
 
 #include "secure/snc.hh"
 
+#include <algorithm>
+
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -207,6 +209,44 @@ SequenceNumberCache::flush()
     }
     occupancy_ = 0;
     return entries;
+}
+
+uint64_t
+SequenceNumberCache::linesUntilFull(uint64_t first_va) const
+{
+    fatal_if(!config_.allow_replacement,
+             "a no-replacement SNC refuses installs once full");
+    fatal_if((first_va & span_mask_) != 0,
+             "history fillers must start on a sector boundary");
+    // Filler sector q lands in set first_set + q (mod sets), so a
+    // set's n-th filler is sector offset + (n - 1) * sets. A full
+    // set stays full at every sector boundary after it: each later
+    // filler displaces a full sector and is itself full once its
+    // lines are in. The fill therefore stops at the end of the sector
+    // that makes the last set full.
+    const uint64_t sets = cache_.sets();
+    const uint64_t first_set = cache_.setOf(first_va);
+    uint64_t sectors = 0;
+    for (uint64_t set = 0; set < sets; ++set) {
+        uint64_t full = 0;
+        cache_.walkSet(set, [&](uint32_t entry) {
+            if (!cache_.entryLine(entry).has_value())
+                return false;
+            const uint32_t *const slots = slots_.data() + firstSlot(entry);
+            for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+                if (slots[i] == kEmptySlot)
+                    return false;
+            }
+            ++full;
+            return true;
+        });
+        if (full == cache_.ways())
+            continue;
+        const uint64_t offset = (set - first_set) & (sets - 1);
+        sectors = std::max(sectors, offset + (cache_.ways() - full - 1) *
+                                                 sets + 1);
+    }
+    return sectors * config_.sector_lines;
 }
 
 void

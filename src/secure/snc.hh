@@ -163,11 +163,61 @@ class SequenceNumberCache
     /** Remove every entry (flush-style context switch). */
     std::vector<SncEntry> flush();
 
+    /**
+     * Bulk update miss of never-written lines: the @p count lines
+     * first_va + i * stride, no two in one L2 line and none in a
+     * resident sector, end exactly as count successive increment(line)
+     * misses and install(line, seqnum) calls leave them, statistics
+     * included. The stride is at most a sector or a multiple of one.
+     * @p spill receives every entry those installs would displace
+     * (not in displacement order); @p line(i, installed, spilled)
+     * reports each line in run order: installed is false when the
+     * no-replacement policy refused it, spilled when its install
+     * displaced a populated sector. Cofetch stays the caller's: the
+     * run's sectors must hold no sequence number the caller would
+     * populate.
+     */
+    template <class Spill, class Line>
+    void warmRun(uint64_t first_va, uint64_t count, uint64_t stride,
+                 uint32_t seqnum, Spill &&spill, Line &&line);
+
+    /**
+     * LRU only: how many never-written lines, from the sector-aligned
+     * @p first_va on, successive install() calls take until
+     * occupancy() reaches entries() (the machine's history fill).
+     * Computed per set: a set is full once fillers have displaced
+     * every way outside the run of fully populated sectors at its MRU
+     * end, and the last set to get there fixes the stop point.
+     */
+    uint64_t linesUntilFull(uint64_t first_va) const;
+
+    /**
+     * Visit every resident sector, set by set, most recently used
+     * first: fn(entry, sector_va).
+     */
+    template <class Fn>
+    void
+    forEachSector(Fn &&fn) const
+    {
+        for (uint64_t set = 0; set < cache_.sets(); ++set) {
+            cache_.walkSet(set, [&](uint32_t entry) {
+                const std::optional<uint64_t> sector =
+                    cache_.entryLine(entry);
+                if (sector.has_value())
+                    fn(entry, *sector);
+                return sector.has_value(); // invalid ways come last
+            });
+        }
+    }
+
     /** Currently resident (populated) entries. */
     uint64_t occupancy() const { return occupancy_; }
 
     /** Currently resident sector tags. */
     uint64_t sectorOccupancy() const { return cache_.occupancy(); }
+
+    /** The sector tag directory (its statistics are not exported). */
+    const mem::Cache &directory() const { return cache_; }
 
     const SncConfig &config() const { return config_; }
 
@@ -229,6 +279,54 @@ class SequenceNumberCache
     util::Counter rejected_;
     util::Counter overflows_;
 };
+
+template <class Spill, class Line>
+void
+SequenceNumberCache::warmRun(uint64_t first_va, uint64_t count,
+                             uint64_t stride, uint32_t seqnum,
+                             Spill &&spill, Line &&line)
+{
+    // Both calls probe the directory: the increment misses (or finds
+    // an empty slot), then the install allocates or populates.
+    cache_.fillRun(
+        first_va, count, stride, /*probes=*/2,
+        [&](const mem::Victim &victim) {
+            uint32_t *const slots =
+                slots_.data() + firstSlot(victim.entry);
+            for (uint32_t i = 0; i < config_.sector_lines; ++i) {
+                if (slots[i] == kEmptySlot)
+                    continue;
+                spill(SncEntry{victim.line_addr +
+                                   uint64_t{i} * config_.l2_line_size,
+                               slots[i]});
+                slots[i] = kEmptySlot;
+                --occupancy_;
+                ++spills_;
+            }
+        },
+        [&](uint64_t i, const mem::RunAccess &access) {
+            ++update_misses_;
+            const uint64_t line_va = first_va + i * stride;
+            if (access.kind == mem::RunAccess::Kind::Rejected) {
+                ++rejected_;
+                line(i, false, false);
+                return;
+            }
+            if (access.entry != mem::kNoEntry) {
+                slots_[firstSlot(access.entry) + slotIndex(line_va)] =
+                    seqnum;
+                ++occupancy_;
+            } else {
+                // A later line of the run displaced this one's sector.
+                spill(SncEntry{line_va >> line_shift_ << line_shift_,
+                               seqnum});
+                ++spills_;
+            }
+            line(i, true,
+                 access.kind == mem::RunAccess::Kind::Filled &&
+                     access.displaced);
+        });
+}
 
 } // namespace secproc::secure
 

@@ -130,6 +130,12 @@ void
 System::preinitializeRegions()
 {
     const uint32_t line = config_.l2.line_size;
+    secure::WarmVisit write_line;
+    if (config_.functional) {
+        write_line = [this](const secure::EvictPlan &plan) {
+            writeInitialLine(plan, /*tagged=*/true);
+        };
+    }
 
     for (const TaskSpec &task : tasks_) {
         engine_->setCompartment(task.compartment);
@@ -140,55 +146,39 @@ System::preinitializeRegions()
         if (config_.functional) {
             const uint64_t text_lines =
                 util::ceilDiv(wl.profile().code_footprint, line);
+            secure::EvictPlan plan;
+            plan.seqnum = 0;
+            plan.state =
+                config_.protection.model == secure::SecurityModel::Xom
+                    ? secure::LineCipherState::Direct
+                    : secure::LineCipherState::Otp;
+            if (config_.protection.model ==
+                secure::SecurityModel::Baseline) {
+                plan.state = secure::LineCipherState::Plain;
+            }
             for (uint64_t i = 0; i < text_lines; ++i) {
-                const uint64_t line_va = wl.textBase() + i * line;
-                secure::EvictPlan plan;
-                plan.line_va = line_va;
-                plan.seqnum = 0;
-                plan.state =
-                    config_.protection.model == secure::SecurityModel::Xom
-                        ? secure::LineCipherState::Direct
-                        : secure::LineCipherState::Otp;
-                if (config_.protection.model ==
-                    secure::SecurityModel::Baseline) {
-                    plan.state = secure::LineCipherState::Plain;
-                }
-                std::vector<uint8_t> bytes(line, 0);
-                engine_->applyEvict(plan, bytes);
-                memory_.writeLine(vm_.translate(asid_, line_va), bytes);
+                plan.line_va = wl.textBase() + i * line;
+                writeInitialLine(plan, /*tagged=*/false);
             }
         }
 
         // Data regions the program "wrote before the measurement
-        // window": replay those writes through planEvict so line
-        // states, SNC contents and sequence numbers are warm — under
-        // every policy (LRU installs in order and wraps;
-        // no-replacement claims slots until full, exactly like the
-        // real first writes).
+        // window": each is one warm run, which leaves line states,
+        // SNC contents and sequence numbers exactly as replaying
+        // those first writes through planEvict would — under every
+        // policy (LRU installs in order and wraps; no-replacement
+        // claims slots until full) — but computes the end state
+        // instead of replaying it line by line.
         for (const DataRegion &region : wl.profile().regions) {
             if (!region.preinitialized || region.plaintext ||
                 region.behavior == RegionBehavior::WriteOnce)
                 continue;
-            uint64_t count;
-            uint64_t stride;
             if (region.behavior == RegionBehavior::ConflictStream) {
-                count = region.conflict_lines;
-                stride = region.conflict_stride;
+                engine_->warmRun(region.base, region.conflict_lines,
+                                 region.conflict_stride, write_line);
             } else {
-                count = region.footprint / line;
-                stride = line;
-            }
-            for (uint64_t i = 0; i < count; ++i) {
-                const uint64_t line_va = region.base + i * stride;
-                const secure::EvictPlan plan = engine_->planEvict(
-                    line_va, mem::RegionKind::Protected);
-                if (config_.functional) {
-                    std::vector<uint8_t> bytes(line, 0);
-                    util::storeLe64(bytes.data(), line_va); // content tag
-                    engine_->applyEvict(plan, bytes);
-                    memory_.writeLine(vm_.translate(asid_, line_va),
-                                      bytes);
-                }
+                engine_->warmRun(region.base, region.footprint / line,
+                                 line, write_line);
             }
         }
     }
@@ -198,27 +188,26 @@ System::preinitializeRegions()
     // far more memory than the live set, so an LRU SNC is *full*;
     // replacement traffic (Figure 9) only exists in that regime.
     // Model the history as filler entries that real lines then
-    // displace. No-replacement SNCs are per-program structures that
-    // start empty, so skip them (their slots belong to the program's
-    // own first writes, replayed above). The history is a program's
-    // past, so an idle machine (no task) gets none: its constructor
-    // skips this function and its SNC starts empty.
+    // displace: fresh filler lines are warmed until the SNC is full,
+    // the stop point computed up front. No-replacement SNCs are
+    // per-program structures that start empty, so skip them (their
+    // slots belong to the program's own first writes, warmed above).
+    // The history is a program's past, so an idle machine (no task)
+    // gets none: its constructor skips this function and its SNC
+    // starts empty.
     if (config_.protection.model == secure::SecurityModel::OtpSnc &&
         config_.protection.snc.allow_replacement) {
-        auto *otp = static_cast<secure::OtpEngine *>(engine_.get());
-        const uint64_t entries = config_.protection.snc.entries();
-        uint64_t filler = 0x7F00'0000'0000ull;
-        while (otp->snc().occupancy() < entries) {
-            engine_->planEvict(filler, mem::RegionKind::Protected);
-            filler += line;
-        }
+        static_cast<secure::OtpEngine *>(engine_.get())
+            ->fillHistory(0x7F00'0000'0000ull);
     }
 
     // Recency priming: replay each region's live set in access
     // order so SNC residency matches what a long-running program
-    // would have established. Under no-replacement the installs are
-    // rejected — slot ownership stays with the first writers, as it
-    // should.
+    // would have established. This stays line by line through
+    // planEvict: it follows the program's own access order and
+    // rewrites lines that are already warm. Under no-replacement the
+    // installs are rejected — slot ownership stays with the first
+    // writers, as it should.
     for (const TaskSpec &task : tasks_) {
         engine_->setCompartment(task.compartment);
         const auto &regions = task.workload->profile().regions;
@@ -228,17 +217,22 @@ System::preinitializeRegions()
             for (const uint64_t line_va : task.workload->liveLines(i)) {
                 const secure::EvictPlan plan = engine_->planEvict(
                     line_va, mem::RegionKind::Protected);
-                if (config_.functional) {
-                    std::vector<uint8_t> bytes(line, 0);
-                    util::storeLe64(bytes.data(), line_va);
-                    engine_->applyEvict(plan, bytes);
-                    memory_.writeLine(vm_.translate(asid_, line_va),
-                                      bytes);
-                }
+                if (config_.functional)
+                    writeInitialLine(plan, /*tagged=*/true);
             }
         }
     }
     engine_->setCompartment(tasks_.front().compartment);
+}
+
+void
+System::writeInitialLine(const secure::EvictPlan &plan, bool tagged)
+{
+    std::fill(line_scratch_.begin(), line_scratch_.end(), 0);
+    if (tagged)
+        util::storeLe64(line_scratch_.data(), plan.line_va);
+    engine_->applyEvict(plan, line_scratch_);
+    memory_.writeLine(vm_.translate(asid_, plan.line_va), line_scratch_);
 }
 
 uint64_t

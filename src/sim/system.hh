@@ -320,7 +320,24 @@ class System : public MemorySystem
     void handleL2Victim(const mem::Victim &victim, uint64_t cycle);
     void installKeys();
     void registerPlaintextRegions();
+
+    /**
+     * Bring the machine to the steady state the paper measures in:
+     * every task's preinitialized regions warmed (one
+     * ProtectionEngine::warmRun per region, in task and region
+     * order), then an LRU SNC's history fill
+     * (OtpEngine::fillHistory), both computed rather than replayed;
+     * then each live set primed line by line through planEvict, in
+     * the program's access order.
+     */
     void preinitializeRegions();
+
+    /**
+     * Functional preinitialization: encrypt a line of zeros, its
+     * first eight bytes tagged with its address when @p tagged, as
+     * @p plan says, and write it to memory.
+     */
+    void writeInitialLine(const secure::EvictPlan &plan, bool tagged);
 
     // Functional plane helpers.
     void functionalFill(const secure::FillPlan &plan);

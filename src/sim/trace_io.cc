@@ -5,9 +5,11 @@
 
 #include "sim/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -234,6 +236,55 @@ putProfile(Writer &w, const WorkloadProfile &profile)
         putRegion(w, region);
 }
 
+/** Bytes of address space @p region spans; fatal above the cap. */
+uint64_t
+regionExtent(const DataRegion &region)
+{
+    uint64_t extent = region.footprint;
+    if (region.behavior == RegionBehavior::ConflictStream &&
+        region.conflict_lines > 0) {
+        fatal_if(region.conflict_stride >
+                     kMaxRegionBytes / region.conflict_lines,
+                 "trace conflict ring of ", region.conflict_lines,
+                 " lines ", region.conflict_stride,
+                 " bytes apart exceeds the ", kMaxRegionBytes,
+                 "-byte region cap");
+        extent = std::max(extent,
+                          region.conflict_lines * region.conflict_stride);
+    }
+    fatal_if(extent > kMaxRegionBytes, "trace region of ", extent,
+             " bytes exceeds the ", kMaxRegionBytes, "-byte region cap");
+    return extent;
+}
+
+/**
+ * The layout a System may warm: capped extents, no region whose end
+ * wraps, no two regions sharing a byte.
+ */
+void
+checkLayout(const WorkloadProfile &profile)
+{
+    fatal_if(profile.code_footprint > kMaxRegionBytes,
+             "trace text segment of ", profile.code_footprint,
+             " bytes exceeds the ", kMaxRegionBytes, "-byte region cap");
+    std::vector<std::pair<uint64_t, uint64_t>> spans;
+    for (const DataRegion &region : profile.regions) {
+        const uint64_t extent = regionExtent(region);
+        fatal_if(extent > ~uint64_t{0} - region.base, "trace region at ",
+                 region.base, " of ", extent,
+                 " bytes wraps the address space");
+        if (extent > 0)
+            spans.emplace_back(region.base, region.base + extent);
+    }
+    std::sort(spans.begin(), spans.end());
+    for (size_t i = 1; i < spans.size(); ++i) {
+        fatal_if(spans[i].first < spans[i - 1].second,
+                 "trace regions overlap: [", spans[i - 1].first, ", ",
+                 spans[i - 1].second, ") and [", spans[i].first, ", ",
+                 spans[i].second, ")");
+    }
+}
+
 WorkloadProfile
 getProfile(Reader &r)
 {
@@ -253,6 +304,7 @@ getProfile(Reader &r)
     fatal_if(regions > 1024, "implausible region count in trace");
     for (uint64_t i = 0; i < regions; ++i)
         profile.regions.push_back(getRegion(r));
+    checkLayout(profile);
     return profile;
 }
 

@@ -38,6 +38,16 @@
 namespace secproc::sim
 {
 
+/**
+ * Largest extent a trace file may declare for a region, and for its
+ * text segment: 4 GiB, 128 times gcc's 32 MB region. A System warms
+ * every line of a preinitialized region when it is built, so the
+ * file must not choose that count. A region's extent is its
+ * footprint or, for a ConflictStream region, the larger of that and
+ * its ring (conflict_lines * conflict_stride).
+ */
+inline constexpr uint64_t kMaxRegionBytes = uint64_t{4} << 30;
+
 /** In-memory image of a recorded trace. */
 struct TraceImage
 {
@@ -57,7 +67,11 @@ void recordTrace(const std::string &path, Workload &workload,
 /** Serialize an in-memory image (testing and converters). */
 void writeTrace(const std::string &path, const TraceImage &image);
 
-/** Load a trace file; fatal() on malformed input. */
+/**
+ * Load a trace file; fatal() on malformed input, including a region
+ * or text segment above kMaxRegionBytes, a region whose end wraps the
+ * address space, and regions that overlap.
+ */
 TraceImage readTrace(const std::string &path);
 
 /**

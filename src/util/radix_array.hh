@@ -43,6 +43,8 @@ namespace secproc::util
 template <typename T, unsigned kGroupBits = 9>
 class RadixArray
 {
+    struct Group;
+
   public:
     static constexpr size_t kGroupEntries = size_t{1} << kGroupBits;
 
@@ -69,15 +71,52 @@ class RadixArray
     T &
     touch(uint64_t index)
     {
-        Group &group = touchGroup(index >> kGroupBits);
-        const size_t offset = index & (kGroupEntries - 1);
-        if (!group.test(offset)) {
-            group.set(offset);
-            group.entries[offset] = T{};
-            ++size_;
-        }
-        return group.entries[offset];
+        return touchEntry(touchGroup(index >> kGroupBits),
+                          index & (kGroupEntries - 1));
     }
+
+    /**
+     * touch() and find() through the last group resolved, for runs of
+     * nearby indices (a machine's warm start writes every line of a
+     * region): each radix group is resolved once per run instead of
+     * once per entry. Valid until the array is cleared.
+     */
+    class Cursor
+    {
+      public:
+        explicit Cursor(RadixArray &array) : array_(array) {}
+
+        T &
+        touch(uint64_t index)
+        {
+            const uint64_t number = index >> kGroupBits;
+            if (group_ == nullptr || number != number_) {
+                group_ = &array_.touchGroup(number);
+                number_ = number;
+            }
+            return array_.touchEntry(*group_, index & (kGroupEntries - 1));
+        }
+
+        /** RadixArray::find, through the last group resolved. */
+        T *
+        find(uint64_t index)
+        {
+            const uint64_t number = index >> kGroupBits;
+            if (group_ == nullptr || number != number_) {
+                group_ = array_.findGroup(number);
+                number_ = number;
+                if (group_ == nullptr)
+                    return nullptr;
+            }
+            const size_t offset = index & (kGroupEntries - 1);
+            return group_->test(offset) ? &group_->entries[offset] : nullptr;
+        }
+
+      private:
+        RadixArray &array_;
+        uint64_t number_ = 0;
+        Group *group_ = nullptr;
+    };
 
     /** Insert or overwrite. @return the stored entry. */
     T &
@@ -177,6 +216,18 @@ class RadixArray
             valid[offset / 64] &= ~(1ull << (offset % 64));
         }
     };
+
+    /** Entry @p offset of @p group, default-constructed on first touch. */
+    T &
+    touchEntry(Group &group, size_t offset)
+    {
+        if (!group.test(offset)) {
+            group.set(offset);
+            group.entries[offset] = T{};
+            ++size_;
+        }
+        return group.entries[offset];
+    }
 
     Group *
     findGroup(uint64_t number) const

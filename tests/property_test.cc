@@ -285,6 +285,9 @@ class CacheModelEquivalence
 /**
  * Minimal reference: per-set LRU lists (front = MRU) plus a line ->
  * list position index, so the 32K-line SNC geometry stays cheap.
+ * Lines keep the entry mem::Cache gives them: a set's ways in order
+ * while it has free ones (nothing is ever invalidated here), then the
+ * victim's.
  */
 class ReferenceCache
 {
@@ -318,14 +321,28 @@ class ReferenceCache
         const uint64_t line = addr / geometry_.line_size;
         auto &set = setFor(line);
         uint64_t victim = ~0ull;
+        uint64_t entry = line % sets_.size() * ways_ + set.size();
         if (set.size() == ways_) {
             victim = set.back();
+            entry = entries_[victim];
+            entries_.erase(victim);
             where_.erase(victim);
             set.pop_back();
         }
         set.push_front(line);
         where_[line] = set.begin();
+        entries_[line] = entry;
         return victim;
+    }
+
+    /** Set @p set's (line number, entry) pairs, most recent first. */
+    std::vector<std::pair<uint64_t, uint64_t>>
+    residents(uint64_t set) const
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> lines;
+        for (const uint64_t line : sets_[set])
+            lines.emplace_back(line, entries_.at(line));
+        return lines;
     }
 
   private:
@@ -339,6 +356,7 @@ class ReferenceCache
     uint64_t ways_;
     std::vector<std::list<uint64_t>> sets_;
     std::map<uint64_t, std::list<uint64_t>::iterator> where_;
+    std::map<uint64_t, uint64_t> entries_;
 };
 
 TEST_P(CacheModelEquivalence, RandomStreamMatchesReference)
@@ -375,6 +393,128 @@ TEST_P(CacheModelEquivalence, RandomStreamMatchesReference)
                     << "op " << i;
             }
         }
+    }
+}
+
+/** (line number, entry) of set @p set's valid lines, most recent first. */
+std::vector<std::pair<uint64_t, uint64_t>>
+residents(const mem::Cache &cache, uint64_t set)
+{
+    std::vector<std::pair<uint64_t, uint64_t>> lines;
+    cache.walkSet(set, [&](uint32_t entry) {
+        const std::optional<uint64_t> line = cache.entryLine(entry);
+        if (line.has_value())
+            lines.emplace_back(*line / cache.config().line_size, entry);
+        return line.has_value();
+    });
+    return lines;
+}
+
+// fillRun against the same lines filled one at a time: the reference
+// model for residents, recency, entries and victims, and a twin
+// mem::Cache (lookup, then fill on a miss) for the statistics.
+TEST_P(CacheModelEquivalence, FreshRunMatchesLineByLineFills)
+{
+    const CacheGeometry geometry = GetParam();
+    mem::CacheConfig config;
+    config.size_bytes = geometry.size_bytes;
+    config.assoc = geometry.assoc;
+    config.line_size = geometry.line_size;
+    config.policy = mem::ReplacementPolicy::Lru;
+    mem::Cache cache(config);
+    mem::Cache twin(config);
+    ReferenceCache reference(geometry);
+    const uint64_t ways =
+        geometry.assoc == 0 ? config.numLines() : geometry.assoc;
+
+    Rng rng(geometry.size_bytes ^ geometry.line_size ^ 0xB01C);
+    const uint64_t span = geometry.size_bytes * 4;
+    const uint64_t ops = config.numLines();
+    for (uint64_t round = 0; round < 4; ++round) {
+        // Random pre-state from the equivalence stream.
+        for (uint64_t i = 0; i < ops; ++i) {
+            const uint64_t addr = rng.nextRange(span);
+            const bool hit = cache.access(addr, false);
+            ASSERT_EQ(twin.access(addr, false), hit);
+            ASSERT_EQ(reference.access(addr), hit);
+            if (!hit) {
+                cache.fill(addr, false, 0);
+                twin.fill(addr, false, 0);
+                reference.fill(addr);
+            }
+        }
+
+        // One run of fresh lines: a stride of half a line (two
+        // accesses a line), a line or 1024 lines, a random start in
+        // an area of its own, and 0 to 3 * ways lines.
+        const uint64_t strides[] = {geometry.line_size / 2,
+                                    geometry.line_size,
+                                    1024ull * geometry.line_size};
+        const uint64_t stride = strides[rng.nextRange(3)];
+        const uint64_t count = rng.nextRange(3 * ways + 1);
+        const uint64_t first =
+            ((round + 1) << 44) + rng.nextRange(span) / 2 * 2;
+        SCOPED_TRACE("round " + std::to_string(round) + " stride " +
+                     std::to_string(stride) + " count " +
+                     std::to_string(count));
+
+        std::vector<uint64_t> victims;
+        std::vector<mem::RunAccess> accesses;
+        cache.fillRun(
+            first, count, stride, /*probes=*/1,
+            [&](const mem::Victim &victim) {
+                ASSERT_TRUE(victim.valid);
+                victims.push_back(victim.line_addr / geometry.line_size);
+            },
+            [&](uint64_t i, const mem::RunAccess &access) {
+                ASSERT_EQ(i, accesses.size());
+                accesses.push_back(access);
+            });
+        ASSERT_EQ(accesses.size(), count);
+
+        std::vector<uint64_t> want_victims;
+        for (uint64_t i = 0; i < count; ++i) {
+            const uint64_t addr = first + i * stride;
+            const mem::RunAccess &access = accesses[i];
+            if (access.kind != mem::RunAccess::Kind::Filled) {
+                ASSERT_EQ(access.kind, mem::RunAccess::Kind::Hit) << i;
+                ASSERT_TRUE(twin.lookup(addr, true) != mem::kNoEntry) << i;
+                ASSERT_EQ(reference.fill(addr), ~0ull) << i;
+            } else {
+                ASSERT_EQ(twin.lookup(addr, true), mem::kNoEntry) << i;
+                twin.fill(addr, false, 0);
+                const uint64_t victim = reference.fill(addr);
+                ASSERT_EQ(access.displaced, victim != ~0ull) << i;
+                if (victim != ~0ull)
+                    want_victims.push_back(victim);
+            }
+            // A run line the run itself evicts is a victim too.
+            if (access.entry == mem::kNoEntry &&
+                (i + 1 == count ||
+                 (addr + stride) / geometry.line_size !=
+                     addr / geometry.line_size)) {
+                victims.push_back(addr / geometry.line_size);
+            }
+        }
+        std::sort(victims.begin(), victims.end());
+        std::sort(want_victims.begin(), want_victims.end());
+        ASSERT_EQ(victims, want_victims);
+
+        for (uint64_t set = 0; set < cache.sets(); ++set) {
+            ASSERT_EQ(residents(cache, set), reference.residents(set))
+                << "set " << set;
+            ASSERT_EQ(residents(cache, set), residents(twin, set))
+                << "set " << set;
+        }
+        for (uint64_t i = 0; i < count; ++i) {
+            const uint64_t addr = first + i * stride;
+            ASSERT_EQ(accesses[i].entry, cache.find(addr)) << i;
+        }
+        ASSERT_EQ(cache.hits(), twin.hits());
+        ASSERT_EQ(cache.misses(), twin.misses());
+        ASSERT_EQ(cache.evictions(), twin.evictions());
+        ASSERT_EQ(cache.dirtyEvictions(), twin.dirtyEvictions());
+        ASSERT_EQ(cache.occupancy(), twin.occupancy());
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <list>
@@ -581,11 +582,130 @@ TEST_P(SncDifferential, RandomStreamMatchesReference)
     EXPECT_GT(lru ? reference.spills : reference.rejected, 0u);
 }
 
+/** The directory: (entry, sector) by set, most recent first. */
+std::vector<std::pair<uint32_t, uint64_t>>
+sectors(const SequenceNumberCache &snc)
+{
+    std::vector<std::pair<uint32_t, uint64_t>> out;
+    snc.forEachSector([&](uint32_t entry, uint64_t sector_va) {
+        out.emplace_back(entry, sector_va);
+    });
+    return out;
+}
+
+bool
+lessEntry(const SncEntry &a, const SncEntry &b)
+{
+    return a.line_va < b.line_va;
+}
+
+// warmRun against the engine's per-line update miss on never-written
+// lines (increment, then install): the reference model for slots,
+// occupancy and counters, a twin SNC driven line by line for the
+// directory (entries, recency and its statistics). Runs start and
+// end mid-sector, at strides of a line and of 1024 lines.
+TEST_P(SncDifferential, BulkRunMatchesReference)
+{
+    const auto [assoc, lru, sector_lines] = GetParam();
+    SncConfig config;
+    config.capacity_bytes = 256;
+    config.bytes_per_entry = 1;
+    config.assoc = assoc;
+    config.allow_replacement = lru;
+    config.l2_line_size = 128;
+    config.sector_lines = sector_lines;
+    SequenceNumberCache snc(config);
+    SequenceNumberCache twin(config);
+    ReferenceSnc reference(config);
+
+    util::Rng rng(0xB0C0 + assoc * 16 + lru * 4 + sector_lines);
+    for (uint64_t round = 0; round < 12; ++round) {
+        // Random pre-state: installs and updates over a small window,
+        // from empty every other round so no-replacement runs find
+        // free entries, or the full directory the last run left.
+        if (round % 2 == 0) {
+            expectSameEntries(snc.flush(), reference.flush(),
+                              static_cast<int>(round));
+            twin.flush();
+        }
+        const uint64_t ops = rng.nextRange(400);
+        for (uint64_t op = 0; op < ops; ++op) {
+            const uint64_t line = 0x1000'0000ull + rng.nextRange(768) * 128;
+            const uint32_t seqnum = static_cast<uint32_t>(rng.nextRange(200));
+            if (rng.nextRange(3) == 0) {
+                ASSERT_EQ(snc.increment(line), reference.increment(line));
+                twin.increment(line);
+            } else {
+                ASSERT_EQ(snc.install(line, seqnum).installed,
+                          reference.install(line, seqnum).installed);
+                twin.install(line, seqnum);
+            }
+        }
+
+        const uint64_t stride = (rng.nextRange(2) == 0 ? 1 : 1024) * 128;
+        const uint64_t count = rng.nextRange(3 * config.entries() + 1);
+        // Its own area, starting past a sector boundary.
+        const uint64_t first = 0x4000'0000ull + (round << 32) +
+                               (1 + rng.nextRange(sector_lines)) * 128;
+        SCOPED_TRACE("round " + std::to_string(round) + " stride " +
+                     std::to_string(stride) + " count " +
+                     std::to_string(count));
+
+        std::vector<SncEntry> spills;
+        std::vector<std::pair<bool, bool>> lines;
+        snc.warmRun(
+            first, count, stride, /*seqnum=*/1,
+            [&](const SncEntry &entry) { spills.push_back(entry); },
+            [&](uint64_t i, bool installed, bool spilled) {
+                ASSERT_EQ(i, lines.size());
+                lines.emplace_back(installed, spilled);
+            });
+        ASSERT_EQ(lines.size(), count);
+
+        std::vector<SncEntry> want_spills;
+        for (uint64_t i = 0; i < count; ++i) {
+            const uint64_t line = first + i * stride;
+            ASSERT_EQ(reference.increment(line), std::nullopt) << i;
+            twin.increment(line);
+            const ReferenceSnc::Install want = reference.install(line, 1);
+            twin.install(line, 1);
+            ASSERT_EQ(lines[i].first, want.installed) << i;
+            ASSERT_EQ(lines[i].second, !want.victims.empty()) << i;
+            want_spills.insert(want_spills.end(), want.victims.begin(),
+                               want.victims.end());
+        }
+        std::sort(spills.begin(), spills.end(), lessEntry);
+        std::sort(want_spills.begin(), want_spills.end(), lessEntry);
+        expectSameEntries(spills, want_spills, static_cast<int>(round));
+
+        ASSERT_EQ(sectors(snc), sectors(twin));
+        const mem::Cache &dir = snc.directory();
+        const mem::Cache &twin_dir = twin.directory();
+        ASSERT_EQ(dir.hits(), twin_dir.hits());
+        ASSERT_EQ(dir.misses(), twin_dir.misses());
+        ASSERT_EQ(dir.evictions(), twin_dir.evictions());
+        ASSERT_EQ(dir.dirtyEvictions(), twin_dir.dirtyEvictions());
+        ASSERT_EQ(dir.rejectedFills(), twin_dir.rejectedFills());
+        ASSERT_EQ(snc.occupancy(), reference.occupancy());
+        ASSERT_EQ(snc.sectorOccupancy(), reference.sectorOccupancy());
+        ASSERT_EQ(snc.updateMisses(), reference.update_misses);
+        ASSERT_EQ(snc.updateHits(), reference.update_hits);
+        ASSERT_EQ(snc.spills(), reference.spills);
+        ASSERT_EQ(snc.rejectedInstalls(), reference.rejected);
+        for (uint64_t i = 0; i < count + sector_lines; ++i) {
+            const uint64_t line = first - 128 + i * stride;
+            ASSERT_EQ(snc.peek(line), reference.peek(line)) << i;
+        }
+    }
+    // Slot order within entries, entry by entry.
+    expectSameEntries(snc.flush(), reference.flush(), -1);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SncDifferential,
     ::testing::Combine(::testing::Values(0u, 32u),
                        ::testing::Bool(),
-                       ::testing::Values(1u, 4u)),
+                       ::testing::Values(1u, 2u, 4u)),
     [](const auto &info) {
         return std::string(std::get<0>(info.param) == 0 ? "full"
                                                         : "way32") +

@@ -278,6 +278,72 @@ TEST(TraceIo, RejectsUnknownRegionBehavior)
                               "corrupt region behavior");
 }
 
+/**
+ * A trace whose profile holds @p regions, written to @p path: the
+ * writer takes any layout, so the reader's checks are what stands
+ * between the file and a System warming every line it declares.
+ */
+void
+writeLayout(const TempTrace &path, std::vector<DataRegion> regions)
+{
+    TraceImage image;
+    image.profile.regions = std::move(regions);
+    image.live_lines.resize(image.profile.regions.size());
+    image.ops.resize(1);
+    writeTrace(path.str(), image);
+}
+
+DataRegion
+hotRegion(uint64_t base, uint64_t footprint)
+{
+    DataRegion region;
+    region.behavior = RegionBehavior::Hot;
+    region.base = base;
+    region.footprint = footprint;
+    return region;
+}
+
+TEST(TraceIo, RejectsRegionAboveTheCap)
+{
+    TempTrace path("region_cap");
+    writeLayout(path, {hotRegion(0x1000'0000, kMaxRegionBytes + 128)});
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()),
+                              "exceeds the .*region cap");
+}
+
+TEST(TraceIo, RejectsConflictRingWhoseSizeOverflows)
+{
+    // 2^33 lines 2^31 bytes apart: the product wraps to 0, which would
+    // pass for a 1 MB region.
+    TempTrace path("conflict_ring");
+    DataRegion ring = hotRegion(0x1000'0000, 1 << 20);
+    ring.behavior = RegionBehavior::ConflictStream;
+    ring.conflict_lines = uint64_t{1} << 33;
+    ring.conflict_stride = uint64_t{1} << 31;
+    writeLayout(path, {ring});
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()),
+                              "conflict ring .*exceeds");
+}
+
+TEST(TraceIo, RejectsRegionThatWraps)
+{
+    TempTrace path("region_wrap");
+    writeLayout(path, {hotRegion(~uint64_t{0} - 0xFFFF, 1 << 20)});
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()),
+                              "wraps the address space");
+}
+
+TEST(TraceIo, RejectsOverlappingRegions)
+{
+    // Listed out of address order: the check sorts by base.
+    TempTrace path("region_overlap");
+    writeLayout(path, {hotRegion(0x1008'0000, 1 << 20),
+                       hotRegion(0x4000'0000, 1 << 20),
+                       hotRegion(0x1000'0000, 1 << 20)});
+    EXPECT_DEATH_IF_SUPPORTED((void)readTrace(path.str()),
+                              "regions overlap");
+}
+
 TEST(TraceIo, CompressionIsCompact)
 {
     // Delta+varint encoding should keep the common op well under
