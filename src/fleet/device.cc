@@ -85,6 +85,11 @@ linkTransport(LinkClass link)
     return t;
 }
 
+LinkSchedule::LinkSchedule(LinkClass link)
+    : transport(linkTransport(link)), odds(transport)
+{
+}
+
 uint64_t
 mixSeed(uint64_t a, uint64_t b)
 {
@@ -98,22 +103,30 @@ mixSeed(uint64_t a, uint64_t b)
 namespace
 {
 
-/** The hardware-variant draw: the first draw of a device's traits
- *  stream, shared by deviceTraits and deviceVariant. */
+/**
+ * The weighted variant pick for the 53-bit draw @p k: the draw's
+ * nextDouble() times @p total, minus each weight in turn until it
+ * goes negative. Only DeviceSampler's constructor evaluates it, to
+ * find where each variant starts.
+ */
 uint32_t
-drawVariant(util::Rng &rng, const FleetDistributions &dist)
+weightedPick(uint64_t k, const std::vector<double> &weights,
+             double total)
 {
-    double weight_total = 0.0;
-    for (const double w : dist.variant_weights)
-        weight_total += w;
-    fatal_if(weight_total <= 0.0, "fleet needs variant weights");
-    double pick = rng.nextDouble() * weight_total;
-    for (size_t i = 0; i < dist.variant_weights.size(); ++i) {
-        pick -= dist.variant_weights[i];
+    double pick = static_cast<double>(k) * 0x1.0p-53 * total;
+    for (size_t i = 0; i < weights.size(); ++i) {
+        pick -= weights[i];
         if (pick < 0.0)
             return static_cast<uint32_t>(i);
     }
-    return static_cast<uint32_t>(dist.variant_weights.size()) - 1;
+    return static_cast<uint32_t>(weights.size()) - 1;
+}
+
+/** @p p is a probability; NaN is not. */
+bool
+isFraction(double p)
+{
+    return p >= 0.0 && p <= 1.0;
 }
 
 /** The one OTA schedule's visitor for a lightweight download: only
@@ -128,13 +141,14 @@ struct LatestArrival
 };
 
 /** Cycles from dispatch until the last chunk of a @p framed_bytes
- *  stream arrives over @p link. */
+ *  stream arrives over @p link, whose constants are @p odds. */
 uint64_t
-downloadCycles(const ota::TransportConfig &link, uint64_t framed_bytes)
+downloadCycles(const ota::TransportConfig &link,
+               const ota::ScheduleOdds &odds, uint64_t framed_bytes)
 {
     LatestArrival last;
-    ota::scheduleArrivals(link, util::ceilDiv(framed_bytes,
-                                              link.chunk_bytes),
+    ota::scheduleArrivals(link, odds,
+                          util::ceilDiv(framed_bytes, link.chunk_bytes),
                           0, last);
     return last.cycle;
 }
@@ -158,62 +172,124 @@ attemptCycles(const InstallCostModel &cost, double factor,
 
 } // namespace
 
+DeviceSampler::DeviceSampler(const FleetDistributions &dist)
+{
+    const std::vector<double> &weights = dist.variant_weights;
+    double total = 0.0;
+    for (const double w : weights) {
+        fatal_if(!(w >= 0.0 && std::isfinite(w)),
+                 "variant weights must be finite and non-negative, got ",
+                 w);
+        total += w;
+    }
+    fatal_if(!(total > 0.0 && std::isfinite(total)),
+             "variant weights must have a finite positive sum, got ",
+             total);
+    fatal_if(!isFraction(dist.strong_cipher_fraction),
+             "strong-cipher fraction must be in [0, 1], got ",
+             dist.strong_cipher_fraction);
+    fatal_if(!(isFraction(dist.fiber_fraction) &&
+               isFraction(dist.cellular_fraction) &&
+               dist.fiber_fraction + dist.cellular_fraction <= 1.0),
+             "link fractions must be in [0, 1] and sum to at most 1, "
+             "got fiber ", dist.fiber_fraction, " cellular ",
+             dist.cellular_fraction);
+    fatal_if(!(isFraction(dist.idle_fraction) &&
+               isFraction(dist.heavy_fraction) &&
+               dist.idle_fraction + dist.heavy_fraction <= 1.0),
+             "workload-mix fractions must be in [0, 1] and sum to at "
+             "most 1, got idle ", dist.idle_fraction, " heavy ",
+             dist.heavy_fraction);
+    fatal_if(!isFraction(dist.max_power_cut_rate),
+             "max power-cut rate must be in [0, 1], got ",
+             dist.max_power_cut_rate);
+
+    // Variant i starts at the least draw whose pick is at least i.
+    // The pick never decreases as the draw grows, so each start is a
+    // binary search from the previous one: 54 picks per variant.
+    uint64_t start = 0;
+    for (size_t i = 1; i < weights.size(); ++i) {
+        uint64_t end = util::Rng::kDrawSpan;
+        while (start < end) {
+            const uint64_t mid = start + (end - start) / 2;
+            if (weightedPick(mid, weights, total) >= i)
+                end = mid;
+            else
+                start = mid + 1;
+        }
+        starts_.push_back(start);
+    }
+
+    strong_cipher_ = util::Rng::odds(dist.strong_cipher_fraction);
+    fiber_ = util::Rng::threshold(dist.fiber_fraction);
+    fiber_or_cellular_ = util::Rng::threshold(dist.fiber_fraction +
+                                              dist.cellular_fraction);
+    idle_ = util::Rng::threshold(dist.idle_fraction);
+    idle_or_heavy_ = util::Rng::threshold(dist.idle_fraction +
+                                          dist.heavy_fraction);
+    max_power_cut_rate_ = dist.max_power_cut_rate;
+}
+
 uint32_t
-deviceVariant(uint64_t fleet_seed, uint64_t device_id,
-              const FleetDistributions &dist)
+DeviceSampler::variantOf(uint64_t k) const
+{
+    uint32_t variant = 0;
+    for (const uint64_t start : starts_)
+        variant += k >= start ? 1u : 0u;
+    return variant;
+}
+
+uint32_t
+DeviceSampler::variant(uint64_t fleet_seed, uint64_t device_id) const
 {
     util::Rng rng(mixSeed(fleet_seed, device_id));
-    return drawVariant(rng, dist);
+    return variantOf(rng.next53());
 }
 
 DeviceTraits
-deviceTraits(uint64_t fleet_seed, uint64_t device_id,
-             const FleetDistributions &dist)
+DeviceSampler::traits(uint64_t fleet_seed, uint64_t device_id) const
 {
     util::Rng rng(mixSeed(fleet_seed, device_id));
 
     DeviceTraits traits;
     traits.seed = mixSeed(fleet_seed ^ 0xF1EE7DEC1CEull, device_id);
-    traits.hw_variant = drawVariant(rng, dist);
-    traits.engine_latency =
-        rng.chance(dist.strong_cipher_fraction) ? 102u : 50u;
+    traits.hw_variant = variantOf(rng.next53());
+    traits.engine_latency = rng.chance(strong_cipher_) ? 102u : 50u;
 
-    const double link = rng.nextDouble();
-    traits.link = link < dist.fiber_fraction ? LinkClass::Fiber
-                  : link < dist.fiber_fraction + dist.cellular_fraction
-                      ? LinkClass::Cellular
-                      : LinkClass::Broadband;
+    const uint64_t link = rng.next53();
+    traits.link = link < fiber_              ? LinkClass::Fiber
+                  : link < fiber_or_cellular_ ? LinkClass::Cellular
+                                              : LinkClass::Broadband;
 
-    const double mix = rng.nextDouble();
-    traits.mix = mix < dist.idle_fraction ? WorkloadMix::Idle
-                 : mix < dist.idle_fraction + dist.heavy_fraction
-                     ? WorkloadMix::Heavy
-                     : WorkloadMix::Office;
+    const uint64_t mix = rng.next53();
+    traits.mix = mix < idle_            ? WorkloadMix::Idle
+                 : mix < idle_or_heavy_ ? WorkloadMix::Heavy
+                                        : WorkloadMix::Office;
 
-    traits.power_cut_rate =
-        rng.nextDouble() * dist.max_power_cut_rate;
+    traits.power_cut_rate = rng.nextDouble() * max_power_cut_rate_;
     return traits;
 }
 
 InstallSim
 simulateInstall(const DeviceTraits &traits,
                 const InstallCostModel &cost,
-                const ota::TransportConfig &transport,
+                const LinkSchedule &link, uint64_t transport_seed,
                 uint64_t framed_bytes, util::Rng &rng)
 {
     const double factor = workloadContentionFactor(traits.mix);
     constexpr uint32_t kMaxRetries = 5;
 
+    ota::TransportConfig transport = link.transport;
     InstallSim sim;
     for (uint32_t attempt = 0;; ++attempt) {
         // The first attempt streams on the device's provisioned
         // transport seed (the exact stream an embedded ground-truth
         // device replays); retries re-key the downlink.
-        ota::TransportConfig link = transport;
-        if (attempt > 0)
-            link.seed = mixSeed(transport.seed, attempt);
+        transport.seed = attempt == 0 ? transport_seed
+                                      : mixSeed(transport_seed, attempt);
         const uint64_t cycles = attemptCycles(
-            cost, factor, downloadCycles(link, framed_bytes));
+            cost, factor,
+            downloadCycles(transport, link.odds, framed_bytes));
         if (attempt < kMaxRetries &&
             rng.chance(traits.power_cut_rate)) {
             // Conservative recovery model: the cut lands uniformly
@@ -234,8 +310,10 @@ predictCleanInstallCycles(const InstallCostModel &cost,
                           const ota::TransportConfig &transport,
                           uint64_t framed_bytes)
 {
-    return attemptCycles(cost, 1.0,
-                         downloadCycles(transport, framed_bytes));
+    return attemptCycles(
+        cost, 1.0,
+        downloadCycles(transport, ota::ScheduleOdds(transport),
+                       framed_bytes));
 }
 
 } // namespace secproc::fleet

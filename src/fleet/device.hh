@@ -14,9 +14,10 @@
  *
  *  - ota::scheduleArrivals, the routine ota::Transport itself
  *    schedules with, run with a visitor that keeps only the latest
- *    arrival (no payload bytes, no allocation), so a lightweight
- *    download completes on exactly the cycle the full transport
- *    model delivers its last chunk; and
+ *    arrival (no payload bytes, no allocation) against its link
+ *    class's LinkSchedule, so a lightweight download completes on
+ *    exactly the cycle the full transport model delivers its last
+ *    chunk; and
  *  - an InstallCostModel calibrated per (release, engine-latency
  *    class) by replaying the real bundle's plan through the one
  *    install pipeline, update::InstallTiming, on an idle channel and
@@ -27,12 +28,20 @@
  * A handful of full update::LiveInstall devices embedded in the
  * population (rollout.hh) pin this prediction to the unified-plane
  * ground truth within kGroundTruthTolerance.
+ *
+ * Traits are recomputed from (fleet seed, device id) whenever they
+ * are needed, never stored. A DeviceSampler, built once per fleet,
+ * draws them against thresholds precomputed from the distributions:
+ * integer starts for the hardware variant, integer cut-offs for the
+ * cipher, link and mix fractions. Every draw is the one the
+ * distributions' doubles would make.
  */
 
 #ifndef SECPROC_FLEET_DEVICE_HH
 #define SECPROC_FLEET_DEVICE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ota/transport.hh"
@@ -88,6 +97,16 @@ const char *linkClassName(LinkClass link);
 /** Transport knobs of @p link (seed left for the caller to set). */
 ota::TransportConfig linkTransport(LinkClass link);
 
+/** A link class's transport knobs and the schedule constants built
+ *  from them, once per fleet; each install sets its own seed. */
+struct LinkSchedule
+{
+    explicit LinkSchedule(LinkClass link);
+
+    ota::TransportConfig transport; ///< linkTransport(link)
+    ota::ScheduleOdds odds;         ///< built from transport
+};
+
 /** Per-device immutable traits drawn from the fleet distributions. */
 struct DeviceTraits
 {
@@ -139,18 +158,62 @@ struct FleetDistributions
 };
 
 /**
- * The traits of device @p device_id in the fleet seeded by
- * @p fleet_seed: a pure function, so a million-device population is
- * never materialized — any shard recomputes any device's traits in
- * a few RNG draws.
+ * Draws device traits from one FleetDistributions. A device's traits
+ * stream makes five draws: variant, strong cipher, link, workload
+ * mix, power-cut rate. The first four compare the 53-bit draw
+ * k = Rng::next53() with integers the constructor precomputes:
+ *
+ *  - the variant is the number of variant starts at or below k. The
+ *    weighted pick (k * 2^-53 * total, then each weight subtracted
+ *    in turn until the pick goes negative) never decreases as k
+ *    grows, because every step is a monotone rounding. So variant i
+ *    starts at the least k whose pick is at least i, found by binary
+ *    search over [0, 2^53] evaluating exactly that pick;
+ *  - the cipher, link and mix draws compare k with
+ *    util::Rng::threshold of the doubles (and double sums) a
+ *    nextDouble() comparison would use.
+ *
+ * Traits are a pure function of (fleet seed, device id): any shard
+ * recomputes any device's traits in a few RNG draws.
  */
-DeviceTraits deviceTraits(uint64_t fleet_seed, uint64_t device_id,
-                          const FleetDistributions &dist);
+class DeviceSampler
+{
+  public:
+    /**
+     * fatal() on distributions no fleet can be drawn from: a variant
+     * weight that is negative, infinite or NaN, or weights whose sum
+     * is not finite and positive; a fraction or max_power_cut_rate
+     * outside [0, 1] or NaN; fiber + cellular or idle + heavy above 1.
+     */
+    explicit DeviceSampler(const FleetDistributions &dist);
 
-/** deviceTraits(...).hw_variant alone: the first draw of the same
- *  stream, all the quirk-gate eligibility scan needs. */
-uint32_t deviceVariant(uint64_t fleet_seed, uint64_t device_id,
-                       const FleetDistributions &dist);
+    /** The traits of device @p device_id in the fleet seeded by
+     *  @p fleet_seed. */
+    DeviceTraits traits(uint64_t fleet_seed, uint64_t device_id) const;
+
+    /** traits(...).hw_variant alone: the first draw of the same
+     *  stream, all the quirk-gate eligibility scan needs. */
+    uint32_t variant(uint64_t fleet_seed, uint64_t device_id) const;
+
+    /**
+     * Entry i - 1 is the least 53-bit draw that selects a variant of
+     * at least i (util::Rng::kDrawSpan when none does), for i in
+     * [1, variant count). Non-decreasing.
+     */
+    std::span<const uint64_t> variantStarts() const { return starts_; }
+
+  private:
+    std::vector<uint64_t> starts_;
+    util::Rng::Odds strong_cipher_;
+    uint64_t fiber_ = 0;             ///< threshold(fiber)
+    uint64_t fiber_or_cellular_ = 0; ///< threshold(fiber + cellular)
+    uint64_t idle_ = 0;              ///< threshold(idle)
+    uint64_t idle_or_heavy_ = 0;     ///< threshold(idle + heavy)
+    double max_power_cut_rate_ = 0.0;
+
+    /** The variant the 53-bit draw @p k selects. */
+    uint32_t variantOf(uint64_t k) const;
+};
 
 /** splitmix64 of @p a ^ @p b; never returns 0 (Rng-safe). The same
  *  stream-splitting idiom exp::cellSeed uses for grid cells. */
@@ -210,12 +273,13 @@ struct InstallSim
  * post-admission pipeline stretched by the device's workload
  * contention, power cuts retrying the whole attempt (conservative:
  * a cut download restarts from scratch). @p rng is the device's
- * per-wave stream; @p transport is the device's link class with its
- * per-device seed already set.
+ * per-wave stream; @p link is the device's link class and
+ * @p transport_seed its per-device downlink seed.
  */
 InstallSim simulateInstall(const DeviceTraits &traits,
                            const InstallCostModel &cost,
-                           const ota::TransportConfig &transport,
+                           const LinkSchedule &link,
+                           uint64_t transport_seed,
                            uint64_t framed_bytes, util::Rng &rng);
 
 /**

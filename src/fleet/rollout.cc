@@ -233,6 +233,10 @@ FleetSimulator::FleetSimulator(const FleetConfig &config,
                                const RolloutPolicy &policy,
                                const exp::Runner &runner)
     : config_(config), policy_(policy), runner_(runner),
+      sampler_(config.dist),
+      links_{LinkSchedule(LinkClass::Fiber),
+             LinkSchedule(LinkClass::Broadband),
+             LinkSchedule(LinkClass::Cellular)},
       vendor_(config.vendor)
 {
     fatal_if(config_.devices == 0, "fleet needs devices");
@@ -298,8 +302,8 @@ FleetSimulator::buildPopulation()
         std::vector<uint32_t> &ids = shard_ids[s];
         ids.reserve(end - begin);
         for (uint64_t id = begin; id < end; ++id) {
-            if (vendor_.offersVariant(deviceVariant(
-                    config_.fleet_seed, id, config_.dist)))
+            if (vendor_.offersVariant(
+                    sampler_.variant(config_.fleet_seed, id)))
                 ids.push_back(static_cast<uint32_t>(id));
         }
     });
@@ -352,6 +356,11 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         vendor_.extendLedger(ids.size());
     const uint64_t per = util::ceilDiv(ids.size(), config_.shards);
 
+    // Every draw a device makes in this wave comes off one stream
+    // keyed by (device, release, wave) — never by execution order.
+    const uint64_t wave_key =
+        mixSeed(release.version, 0xA11CEull + index);
+
     runner_.forEach(config_.shards, [&](size_t s) {
         const size_t begin = s * per;
         const size_t end = std::min(ids.size(), begin + per);
@@ -359,14 +368,8 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
         for (size_t j = begin; j < end; ++j) {
             const uint32_t id = ids[j];
             const DeviceTraits traits =
-                deviceTraits(config_.fleet_seed, id, config_.dist);
-
-            // Every draw this device makes in this wave comes off
-            // one stream keyed by (device, release, wave) — never
-            // by execution order.
-            util::Rng rng(mixSeed(
-                traits.seed,
-                mixSeed(release.version, 0xA11CEull + index)));
+                sampler_.traits(config_.fleet_seed, id);
+            util::Rng rng(mixSeed(traits.seed, wave_key));
 
             const uint64_t jitter = static_cast<uint64_t>(
                 rng.nextDouble() *
@@ -376,9 +379,6 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
             // serialization is independent of sharding.
             const uint64_t dispatch =
                 vendor_.dispatchCycle(open_cycle, j, jitter);
-
-            ota::TransportConfig link = linkTransport(traits.link);
-            link.seed = mixSeed(traits.seed, release.version);
 
             // A device running exactly the delta's base version
             // downloads the delta stream; everyone else — and every
@@ -394,7 +394,9 @@ FleetSimulator::runWave(uint32_t index, const std::string &kind,
                           : release.framed_bytes;
 
             const InstallSim sim = simulateInstall(
-                traits, cost, link, downlink_bytes, rng);
+                traits, cost, links_[static_cast<size_t>(traits.link)],
+                mixSeed(traits.seed, release.version), downlink_bytes,
+                rng);
             const uint64_t completion = dispatch + sim.cycles;
 
             if (via_delta)

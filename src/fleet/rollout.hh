@@ -24,6 +24,7 @@
 #ifndef SECPROC_FLEET_ROLLOUT_HH
 #define SECPROC_FLEET_ROLLOUT_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -295,6 +296,14 @@ class FleetSimulator
     FleetConfig config_;
     RolloutPolicy policy_;
     const exp::Runner &runner_;
+
+    /** Draws every device's traits; validates config_.dist before
+     *  the vendor service is built. */
+    DeviceSampler sampler_;
+
+    /** Schedule constants per LinkClass, indexed by its value. */
+    std::array<LinkSchedule, 3> links_;
+
     VendorService vendor_;
     bool ran_ = false;
 

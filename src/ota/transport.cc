@@ -12,16 +12,29 @@
 namespace secproc::ota
 {
 
-Transport::Transport(const TransportConfig &config)
-    : config_(config)
+ScheduleOdds::ScheduleOdds(const TransportConfig &config)
 {
-    fatal_if(config_.chunk_bytes == 0, "transport needs a chunk size");
-    fatal_if(config_.cycles_per_chunk == 0,
+    // Each range is checked in positive form, so NaN fails it.
+    fatal_if(config.chunk_bytes == 0, "transport needs a chunk size");
+    fatal_if(config.cycles_per_chunk == 0,
              "transport needs a bandwidth cap");
-    fatal_if(config_.loss_rate < 0.0 || config_.loss_rate >= 1.0,
-             "chunk loss rate must be in [0, 1)");
-    fatal_if(config_.burst_length < 1.0,
-             "a loss burst drops at least one chunk");
+    fatal_if(!(config.loss_rate >= 0.0 && config.loss_rate < 1.0),
+             "chunk loss rate must be in [0, 1), got ", config.loss_rate);
+    fatal_if(!(config.reorder_rate >= 0.0 && config.reorder_rate <= 1.0),
+             "chunk reorder rate must be in [0, 1], got ",
+             config.reorder_rate);
+    fatal_if(!(config.burst_length >= 1.0 &&
+               config.burst_length <= kMaxBurstLength),
+             "a loss burst drops at least one chunk and at most 2^32 "
+             "on average, got ", config.burst_length);
+    loss = util::Rng::odds(config.loss_rate);
+    burst = util::Rng::geometric(1.0 / config.burst_length);
+    reorder = util::Rng::odds(config.reorder_rate);
+}
+
+Transport::Transport(const TransportConfig &config)
+    : config_(config), odds_(config)
+{
 }
 
 void
@@ -94,7 +107,8 @@ Transport::send(std::vector<uint8_t> payload, uint64_t cycle,
     }
 
     const ScheduleCounts counts =
-        scheduleArrivals(config_, passes.todo.size(), cycle, passes);
+        scheduleArrivals(config_, odds_, passes.todo.size(), cycle,
+                         passes);
     chunks_sent_ = counts.sent;
     chunks_lost_ = counts.lost;
     chunks_reordered_ = counts.reordered;

@@ -23,9 +23,14 @@
  *
  * The schedule itself — every loss, burst and reorder draw — lives in
  * scheduleArrivals(), the one place the downlink's RNG is consumed.
- * Transport keeps payload offsets, bytes and statistics on top of
- * it; the fleet's lightweight devices (fleet/device.hh) run the very
- * same routine keeping only the latest arrival.
+ * It draws against a ScheduleOdds: the config's loss and reorder
+ * probabilities as integer thresholds and the burst length's
+ * log1p(-p), built once per config. Building one is also the one
+ * validation of a TransportConfig, so every schedule runs on a config
+ * it can run. Transport keeps payload offsets, bytes and statistics
+ * on top of it; the fleet's lightweight devices (fleet/device.hh) run
+ * the very same routine, with one ScheduleOdds per link class,
+ * keeping only the latest arrival.
  */
 
 #ifndef SECPROC_OTA_TRANSPORT_HH
@@ -72,6 +77,32 @@ struct TransportConfig
     uint64_t seed = 0x07A'7EA5;
 };
 
+/** Largest mean burst length a TransportConfig may ask for: the
+ *  largest geometric draw is about 36.7 x burst_length, so 2^32
+ *  keeps every burst far below 2^64 chunks. */
+inline constexpr double kMaxBurstLength = 0x1.0p32;
+
+/**
+ * The constants scheduleArrivals() draws against, built once per
+ * TransportConfig: the loss and reorder chances as integer
+ * thresholds and the burst-length geometric's log1p(-p). Every draw
+ * is the one the config's doubles would make.
+ *
+ * The constructor is the one validation of a TransportConfig and
+ * fatal()s on a config the schedule cannot run: a zero chunk size or
+ * bandwidth cap, loss_rate outside [0, 1), reorder_rate outside
+ * [0, 1], burst_length outside [1, kMaxBurstLength]. NaN is outside
+ * every range.
+ */
+struct ScheduleOdds
+{
+    explicit ScheduleOdds(const TransportConfig &config);
+
+    util::Rng::Odds loss;
+    util::Rng::Geometric burst;
+    util::Rng::Odds reorder;
+};
+
 /** What one scheduleArrivals() run drew. */
 struct ScheduleCounts
 {
@@ -100,13 +131,14 @@ struct ScheduleCounts
  *    drops, in loss order, form the next pass.
  *
  * Header-inline and allocation-free, so a visitor that keeps only a
- * running maximum costs no more than the loop itself. @p config must
- * be one Transport's constructor accepts.
+ * running maximum costs no more than the loop itself. @p odds must be
+ * built from a config with @p config's loss, burst and reorder
+ * fields; the seed, pacing and window come from @p config.
  */
 template <typename Visitor>
 ScheduleCounts
-scheduleArrivals(const TransportConfig &config, uint64_t chunks,
-                 uint64_t cycle, Visitor &visit)
+scheduleArrivals(const TransportConfig &config, const ScheduleOdds &odds,
+                 uint64_t chunks, uint64_t cycle, Visitor &visit)
 {
     util::Rng rng(config.seed);
     ScheduleCounts counts;
@@ -124,11 +156,10 @@ scheduleArrivals(const TransportConfig &config, uint64_t chunks,
         for (uint64_t i = 0; i < todo; ++i) {
             clock += config.cycles_per_chunk;
             ++counts.sent;
-            if (burst_remaining == 0 && rng.chance(config.loss_rate)) {
+            if (burst_remaining == 0 && rng.chance(odds.loss)) {
                 // Gilbert-ish burst: geometric number of extra
                 // losses after the one that opened the burst.
-                burst_remaining =
-                    1 + rng.nextGeometric(1.0 / config.burst_length);
+                burst_remaining = 1 + rng.nextGeometric(odds.burst);
             }
             if (burst_remaining > 0) {
                 --burst_remaining;
@@ -137,8 +168,7 @@ scheduleArrivals(const TransportConfig &config, uint64_t chunks,
                 continue;
             }
             uint64_t arrival = clock;
-            if (config.reorder_rate > 0.0 &&
-                rng.chance(config.reorder_rate)) {
+            if (rng.chance(odds.reorder)) {
                 const uint64_t jitter =
                     1 + rng.nextRange(std::max(config.reorder_window,
                                                1u));
@@ -257,6 +287,7 @@ class Transport
     };
 
     TransportConfig config_;
+    ScheduleOdds odds_;
     std::vector<uint8_t> payload_;
     std::vector<Arrival> schedule_; ///< sorted by arrival cycle
     size_t next_ = 0;               ///< first uncollected arrival

@@ -95,12 +95,7 @@ Rng::nextZipf(uint64_t n, double s)
 uint64_t
 Rng::nextGeometric(double p)
 {
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return 0;
-    const double u = nextDouble();
-    return static_cast<uint64_t>(std::log1p(-u) / std::log1p(-p));
+    return nextGeometric(geometric(p));
 }
 
 void

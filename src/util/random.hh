@@ -13,6 +13,7 @@
 #ifndef SECPROC_UTIL_RANDOM_HH
 #define SECPROC_UTIL_RANDOM_HH
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -26,6 +27,9 @@ namespace secproc::util
 class Rng
 {
   public:
+    /** Number of distinct 53-bit draws (next53()). */
+    static constexpr uint64_t kDrawSpan = uint64_t{1} << 53;
+
     /** Seed the generator; identical seeds give identical streams. */
     explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
@@ -62,11 +66,15 @@ class Rng
             (static_cast<__uint128_t>(next64()) * bound) >> 64);
     }
 
+    /** @return the 53-bit draw k in [0, kDrawSpan) that
+     *  nextDouble() scales to k * 2^-53. */
+    uint64_t next53() { return next64() >> 11; }
+
     /** @return uniform double in [0, 1). */
     double
     nextDouble()
     {
-        return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+        return static_cast<double>(next53()) * 0x1.0p-53;
     }
 
     /** @return true with probability @p p (clamped to [0,1]). */
@@ -81,6 +89,48 @@ class Rng
     }
 
     /**
+     * ceil(p * 2^53), clamped to [0, kDrawSpan] (NaN gives 0). For
+     * every p, nextDouble() < p holds exactly when
+     * next53() < threshold(p): k * 2^-53 and p * 2^53 are exact, and
+     * k is an integer. Without -march flags std::ceil is a library
+     * call, so build thresholds once per distribution, never per
+     * draw.
+     */
+    static uint64_t
+    threshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return kDrawSpan;
+        return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
+    }
+
+    /** A chance(p) draw with its threshold precomputed. */
+    struct Odds
+    {
+        uint64_t threshold = 0; ///< Rng::threshold(p)
+        bool draws = false;     ///< chance(p) consumes a draw
+    };
+
+    /** chance(p)'s constants: no draw for p <= 0 or p >= 1. */
+    static Odds
+    odds(double p)
+    {
+        return Odds{threshold(p), !(p <= 0.0 || p >= 1.0)};
+    }
+
+    /** chance(p) for the p @p o was built from: same result, same
+     *  draws consumed. */
+    bool
+    chance(const Odds &o)
+    {
+        if (!o.draws)
+            return o.threshold != 0;
+        return next53() < o.threshold;
+    }
+
+    /**
      * Zipf-distributed rank in [0, n) with exponent @p s.
      * Rank 0 is the most popular. Uses an inverted-CDF table that is
      * rebuilt only when (n, s) changes.
@@ -89,6 +139,33 @@ class Rng
 
     /** Geometric: number of failures before first success, prob p. */
     uint64_t nextGeometric(double p);
+
+    /** A nextGeometric(p) draw with log1p(-p) precomputed. */
+    struct Geometric
+    {
+        double log1m_p = 0.0; ///< log1p(-p)
+        bool draws = false;   ///< nextGeometric(p) consumes a draw
+    };
+
+    /** nextGeometric(p)'s constants: no draw for p <= 0 or p >= 1. */
+    static Geometric
+    geometric(double p)
+    {
+        if (p >= 1.0 || p <= 0.0)
+            return Geometric{};
+        return Geometric{std::log1p(-p), true};
+    }
+
+    /** nextGeometric(p) for the p @p g was built from: same value,
+     *  same draws consumed. */
+    uint64_t
+    nextGeometric(const Geometric &g)
+    {
+        if (!g.draws)
+            return 0;
+        const double u = nextDouble();
+        return static_cast<uint64_t>(std::log1p(-u) / g.log1m_p);
+    }
 
     /** Fill @p out with @p len pseudo-random bytes. */
     void fillBytes(uint8_t *out, size_t len);

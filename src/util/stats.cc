@@ -50,15 +50,15 @@ Histogram::sample(double v)
 {
     ++total_;
     sum_ += v;
-    if (v < 0) {
+    // Decide overflow in double, then convert: converting NaN,
+    // infinity or a quotient of 2^64 or more to size_t is undefined.
+    // Negative samples, NaN and +inf all overflow.
+    const double idx = v / bucket_width_;
+    if (!(v >= 0.0 && idx < static_cast<double>(buckets_.size()))) {
         ++overflow_;
         return;
     }
-    const auto idx = static_cast<size_t>(v / bucket_width_);
-    if (idx >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[idx];
+    ++buckets_[static_cast<size_t>(idx)];
 }
 
 double

@@ -1,9 +1,10 @@
 /**
  * @file
  * Fleet-scale staged-rollout tests: the shared OTA schedule and the
- * calibrated cost models pinned, ground-truth agreement of the
- * install cost model and the idle machine it runs on, canary halt +
- * rollback mechanics,
+ * calibrated cost models pinned, the device sampler's draws against
+ * the per-device double comparisons it replaced, ground-truth
+ * agreement of the install cost model and the idle machine it runs
+ * on, canary halt + rollback mechanics,
  * thread-count determinism, reports and ledgers pinned to recorded
  * hashes, the rollout's peak heap per device, and a million-device
  * convergence run.
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <span>
 #include <string_view>
@@ -218,10 +220,11 @@ TEST(FleetDevice, LinkSchedulesArePinned)
 TEST(FleetDevice, TraitsArePureAndInDistributionRange)
 {
     const FleetDistributions dist;
+    const DeviceSampler sampler(dist);
     for (uint64_t id = 0; id < 500; ++id) {
-        const DeviceTraits a = deviceTraits(0xABCD, id, dist);
-        const DeviceTraits b = deviceTraits(0xABCD, id, dist);
-        EXPECT_EQ(deviceVariant(0xABCD, id, dist), a.hw_variant);
+        const DeviceTraits a = sampler.traits(0xABCD, id);
+        const DeviceTraits b = DeviceSampler(dist).traits(0xABCD, id);
+        EXPECT_EQ(sampler.variant(0xABCD, id), a.hw_variant);
         EXPECT_EQ(a.seed, b.seed);
         EXPECT_EQ(a.hw_variant, b.hw_variant);
         EXPECT_EQ(a.engine_latency, b.engine_latency);
@@ -233,6 +236,141 @@ TEST(FleetDevice, TraitsArePureAndInDistributionRange)
                     a.engine_latency == 102);
         EXPECT_GE(a.power_cut_rate, 0.0);
         EXPECT_LT(a.power_cut_rate, dist.max_power_cut_rate);
+    }
+}
+
+namespace
+{
+
+/** The variant pick before DeviceSampler: @p u (a nextDouble() draw)
+ *  times the weight total, minus each weight in turn until it goes
+ *  negative. */
+uint32_t
+referenceVariant(double u, const FleetDistributions &dist)
+{
+    double total = 0.0;
+    for (const double w : dist.variant_weights)
+        total += w;
+    double pick = u * total;
+    for (size_t i = 0; i < dist.variant_weights.size(); ++i) {
+        pick -= dist.variant_weights[i];
+        if (pick < 0.0)
+            return static_cast<uint32_t>(i);
+    }
+    return static_cast<uint32_t>(dist.variant_weights.size()) - 1;
+}
+
+/** A device's traits as drawn before DeviceSampler: each trait a
+ *  nextDouble() comparison against the distributions' doubles. */
+DeviceTraits
+referenceTraits(uint64_t fleet_seed, uint64_t device_id,
+                const FleetDistributions &dist)
+{
+    util::Rng rng(mixSeed(fleet_seed, device_id));
+
+    DeviceTraits traits;
+    traits.seed = mixSeed(fleet_seed ^ 0xF1EE7DEC1CEull, device_id);
+    traits.hw_variant = referenceVariant(rng.nextDouble(), dist);
+    traits.engine_latency =
+        rng.chance(dist.strong_cipher_fraction) ? 102u : 50u;
+
+    const double link = rng.nextDouble();
+    traits.link = link < dist.fiber_fraction ? LinkClass::Fiber
+                  : link < dist.fiber_fraction + dist.cellular_fraction
+                      ? LinkClass::Cellular
+                      : LinkClass::Broadband;
+
+    const double mix = rng.nextDouble();
+    traits.mix = mix < dist.idle_fraction ? WorkloadMix::Idle
+                 : mix < dist.idle_fraction + dist.heavy_fraction
+                     ? WorkloadMix::Heavy
+                     : WorkloadMix::Office;
+
+    traits.power_cut_rate = rng.nextDouble() * dist.max_power_cut_rate;
+    return traits;
+}
+
+/** Distributions whose variant starts and thresholds sit at edges:
+ *  zero-weight variants, one variant, a tiny weight, subnormal-scale
+ *  and huge weights, fractions of 0 and 1, and the lossy scenario. */
+std::vector<FleetDistributions>
+edgeDistributions()
+{
+    std::vector<FleetDistributions> dists(7);
+    dists[1].variant_weights = {0, 1, 0, 2, 0};
+    dists[2].variant_weights = {1};
+    dists[3].variant_weights = {3, 1e-9, 7};
+    dists[3].strong_cipher_fraction = 0.0;
+    dists[4].variant_weights = {1e-300, 1e-300, 5e-301};
+    dists[4].strong_cipher_fraction = 1.0;
+    dists[4].fiber_fraction = 0.0;
+    dists[4].cellular_fraction = 1.0;
+    dists[5] = fleetScenarioLossy().dist;
+    dists[6].variant_weights = {1e300, 1e300};
+    return dists;
+}
+
+} // namespace
+
+// The sampler draws against precomputed integer starts and
+// thresholds; every trait of every device must be the one the
+// per-device double comparisons drew.
+TEST(FleetDevice, SamplerMatchesReferenceDraws)
+{
+    constexpr uint64_t kSeed = 0xF1EE7'5EED;
+    constexpr uint64_t kDevices = 200'000;
+    const std::vector<FleetDistributions> dists = edgeDistributions();
+    for (size_t d = 0; d < dists.size(); ++d) {
+        const DeviceSampler sampler(dists[d]);
+        uint64_t mismatches = 0;
+        uint64_t first = 0;
+        for (uint64_t id = 0; id < kDevices; ++id) {
+            const DeviceTraits want = referenceTraits(kSeed, id, dists[d]);
+            const DeviceTraits got = sampler.traits(kSeed, id);
+            const bool same =
+                got.seed == want.seed &&
+                got.hw_variant == want.hw_variant &&
+                got.engine_latency == want.engine_latency &&
+                got.link == want.link && got.mix == want.mix &&
+                got.power_cut_rate == want.power_cut_rate &&
+                sampler.variant(kSeed, id) == want.hw_variant;
+            if (!same && mismatches++ == 0)
+                first = id;
+        }
+        EXPECT_EQ(mismatches, 0u)
+            << "distribution " << d << ", first at device " << first;
+    }
+}
+
+// Each documented variant start s is the least 53-bit draw selecting
+// a variant of at least i: the reference pick is below i at s - 1
+// and at least i at s.
+TEST(FleetDevice, VariantStartsAreTheLeastSelectingDraws)
+{
+    for (const FleetDistributions &dist : edgeDistributions()) {
+        const DeviceSampler sampler(dist);
+        const std::span<const uint64_t> starts = sampler.variantStarts();
+        ASSERT_EQ(starts.size(), dist.variant_weights.size() - 1);
+        for (size_t i = 1; i <= starts.size(); ++i) {
+            const uint64_t s = starts[i - 1];
+            ASSERT_LE(s, util::Rng::kDrawSpan);
+            if (i > 1) {
+                EXPECT_GE(s, starts[i - 2]);
+            }
+            if (s > 0) {
+                EXPECT_LT(referenceVariant(
+                              static_cast<double>(s - 1) * 0x1.0p-53,
+                              dist),
+                          i)
+                    << "start " << i << " = " << s;
+            }
+            if (s < util::Rng::kDrawSpan) {
+                EXPECT_GE(referenceVariant(
+                              static_cast<double>(s) * 0x1.0p-53, dist),
+                          i)
+                    << "start " << i << " = " << s;
+            }
+        }
     }
 }
 
@@ -680,6 +818,79 @@ TEST(FleetRolloutDeathTest, RejectsFleetsWhoseIdsDoNotFit32Bits)
     FleetSimulator largest(config, RolloutPolicy::canaryStaged(),
                            runner);
     (void)largest;
+}
+
+// Distributions no fleet can be drawn from are refused by the
+// simulator's constructor, before the vendor service is built; the
+// worked scenarios' distributions are accepted.
+TEST(FleetRolloutDeathTest, RejectsDistributionsNoFleetCanBeDrawnFrom)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    struct Case
+    {
+        FleetDistributions dist;
+        const char *message;
+    };
+    std::vector<Case> cases;
+    const auto add = [&cases](const char *message, auto &&edit) {
+        FleetDistributions dist;
+        edit(dist);
+        cases.push_back({dist, message});
+    };
+    const char *weights = "variant weights";
+    add(weights, [&](FleetDistributions &d) { d.variant_weights = {nan, 1}; });
+    add(weights, [](FleetDistributions &d) { d.variant_weights = {1, -0.5}; });
+    add(weights, [&](FleetDistributions &d) { d.variant_weights = {inf, 1}; });
+    add(weights, [](FleetDistributions &d) { d.variant_weights = {0, 0}; });
+    add(weights, [](FleetDistributions &d) { d.variant_weights = {}; });
+    add(weights,
+        [](FleetDistributions &d) { d.variant_weights = {1e308, 1e308}; });
+    const char *strong = "strong-cipher fraction";
+    add(strong, [](FleetDistributions &d) { d.strong_cipher_fraction = -0.1; });
+    add(strong, [](FleetDistributions &d) { d.strong_cipher_fraction = 1.5; });
+    add(strong, [&](FleetDistributions &d) { d.strong_cipher_fraction = nan; });
+    const char *link = "link fractions";
+    add(link, [](FleetDistributions &d) { d.fiber_fraction = -0.1; });
+    add(link, [&](FleetDistributions &d) { d.cellular_fraction = nan; });
+    add(link, [](FleetDistributions &d) {
+        d.fiber_fraction = 0.6;
+        d.cellular_fraction = 0.5;
+    });
+    const char *mix = "workload-mix fractions";
+    add(mix, [](FleetDistributions &d) { d.heavy_fraction = 1.5; });
+    add(mix, [&](FleetDistributions &d) { d.idle_fraction = nan; });
+    add(mix, [](FleetDistributions &d) {
+        d.idle_fraction = 0.7;
+        d.heavy_fraction = 0.4;
+    });
+    const char *cut = "power-cut rate";
+    add(cut, [](FleetDistributions &d) { d.max_power_cut_rate = -0.01; });
+    add(cut, [](FleetDistributions &d) { d.max_power_cut_rate = 1.5; });
+    add(cut, [&](FleetDistributions &d) { d.max_power_cut_rate = nan; });
+
+    const exp::Runner runner = serialRunner();
+    for (size_t i = 0; i < cases.size(); ++i) {
+        FleetConfig config;
+        config.dist = cases[i].dist;
+        EXPECT_DEATH_IF_SUPPORTED(
+            {
+                FleetSimulator sim(config, RolloutPolicy::canaryStaged(),
+                                   runner);
+                (void)sim;
+            },
+            cases[i].message)
+            << "case " << i;
+    }
+
+    for (const FleetScenario &scenario :
+         {fleetScenarioHealthy(), fleetScenarioFaulty(),
+          fleetScenarioLossy()}) {
+        const DeviceSampler sampler(scenario.dist);
+        EXPECT_EQ(sampler.variantStarts().size(),
+                  scenario.dist.variant_weights.size() - 1)
+            << scenario.name;
+    }
 }
 
 // Acceptance: a million-device staged rollout completes on one

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "ota/transport.hh"
 
 namespace
@@ -249,6 +251,32 @@ TEST(TransportDeath, RejectsBrokenConfigs)
     EXPECT_DEATH_IF_SUPPORTED(
         { Transport transport(full_loss); (void)transport; },
         "loss rate");
+
+    // NaN fails every range, and the reorder rate and burst length
+    // have both bounds checked.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    TransportConfig nan_loss;
+    nan_loss.loss_rate = nan;
+    EXPECT_DEATH_IF_SUPPORTED(
+        { Transport transport(nan_loss); (void)transport; },
+        "loss rate");
+    for (const double burst : {nan, 1e30}) {
+        TransportConfig bursty;
+        bursty.loss_rate = 0.5;
+        bursty.burst_length = burst;
+        EXPECT_DEATH_IF_SUPPORTED(
+            { Transport transport(bursty); (void)transport; },
+            "loss burst")
+            << burst;
+    }
+    for (const double rate : {-0.1, 1.5, nan}) {
+        TransportConfig reorder;
+        reorder.reorder_rate = rate;
+        EXPECT_DEATH_IF_SUPPORTED(
+            { Transport transport(reorder); (void)transport; },
+            "reorder rate")
+            << rate;
+    }
 }
 
 } // namespace

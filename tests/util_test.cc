@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -177,6 +179,66 @@ TEST(Rng, GeometricMeanRoughlyMatches)
     EXPECT_NEAR(sum / n, 1.0, 0.05);
 }
 
+// nextDouble() < p holds exactly when next53() < threshold(p): check
+// both sides of each threshold and both ends of the draw range.
+TEST(Rng, ThresholdMatchesDoubleComparison)
+{
+    const double ps[] = {0.0,
+                         -1.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         5e-324,
+                         1e-300,
+                         0x1.0p-53,
+                         0.001,
+                         0.3,
+                         1.0 - 0x1.0p-53,
+                         1.0,
+                         2.0};
+    for (const double p : ps) {
+        const uint64_t t = Rng::threshold(p);
+        ASSERT_LE(t, Rng::kDrawSpan) << p;
+        std::vector<uint64_t> draws = {0, Rng::kDrawSpan - 1};
+        if (t > 0)
+            draws.push_back(t - 1);
+        if (t < Rng::kDrawSpan)
+            draws.push_back(t);
+        for (const uint64_t k : draws) {
+            // nextDouble()'s value for the 53-bit draw k.
+            const double u = static_cast<double>(k) * 0x1.0p-53;
+            EXPECT_EQ(k < t, u < p) << "p " << p << ", draw " << k;
+        }
+    }
+}
+
+// chance(Odds) and nextGeometric(Geometric) return what the double
+// forms return and leave the stream where they leave it; the
+// geometric is also checked against its formula.
+TEST(Rng, PrecomputedDrawsMatchDoubleForms)
+{
+    for (const double p : {0.0, 1.0, 0.5, 1.0 / 3.0, 1e-9}) {
+        const Rng::Odds odds = Rng::odds(p);
+        const Rng::Geometric geometric = Rng::geometric(p);
+        Rng want(29), got(29);
+        for (int i = 0; i < 10'000; ++i) {
+            ASSERT_EQ(got.chance(odds), want.chance(p)) << p;
+            ASSERT_EQ(got.next64(), want.next64()) << p;
+
+            Rng before = got;
+            const uint64_t value = got.nextGeometric(geometric);
+            ASSERT_EQ(value, want.nextGeometric(p)) << p;
+            if (p > 0.0 && p < 1.0) {
+                ASSERT_EQ(value, static_cast<uint64_t>(
+                                     std::log1p(-before.nextDouble()) /
+                                     std::log1p(-p)))
+                    << p;
+            } else {
+                ASSERT_EQ(value, 0u) << p;
+            }
+            ASSERT_EQ(got.next64(), want.next64()) << p;
+        }
+    }
+}
+
 TEST(Rng, FillBytesCoversAllPositions)
 {
     Rng rng(19);
@@ -223,11 +285,15 @@ TEST(Stats, HistogramBucketsAndOverflow)
     h.sample(49.0);
     h.sample(50.0);   // overflow
     h.sample(1234.0); // overflow
+    // Past any size_t bucket index: overflow, never a wrapped bucket.
+    h.sample(std::numeric_limits<double>::quiet_NaN());
+    h.sample(std::numeric_limits<double>::infinity());
+    h.sample(1e300);
     EXPECT_EQ(h.bucket(0), 2u);
     EXPECT_EQ(h.bucket(1), 1u);
     EXPECT_EQ(h.bucket(4), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.totalSamples(), 6u);
+    EXPECT_EQ(h.overflow(), 5u);
+    EXPECT_EQ(h.totalSamples(), 9u);
 }
 
 TEST(Stats, HistogramMergeMatchesUnshardedFeed)
