@@ -30,19 +30,34 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile,
              "workload '", profile_.name, "' needs at least one region");
     layoutRegions();
     buildDepTable();
-    pc_ = textBase();
+    text_base_ = textBase();
+    pc_ = text_base_;
 
+    shapes_.resize(profile_.regions.size());
     states_.resize(profile_.regions.size());
     for (size_t i = 0; i < profile_.regions.size(); ++i) {
         const DataRegion &region = profile_.regions[i];
+        RegionShape &shape = shapes_[i];
+        shape.lines = std::max<uint64_t>(1, region.footprint / line_size_);
+        shape.universe =
+            region.window_lines == 0
+                ? shape.lines
+                : std::min<uint64_t>(region.window_lines, shape.lines);
+        shape.footprint_pow2 =
+            (region.footprint & (region.footprint - 1)) == 0;
+        shape.footprint_mask = region.footprint - 1;
+        shape.writes_per_line =
+            std::max<uint32_t>(1, region.writes_per_line);
+        shape.store = util::Rng::odds(region.store_frac);
+        states_[i].drift_left = region.drift_interval;
+
         if (region.behavior == RegionBehavior::Zipf ||
             region.behavior == RegionBehavior::Chase) {
             // Scatter popularity ranks over the region's lines so
             // popular lines are not address-clustered (matches real
             // heap layouts; crucial for the no-replacement SNC
             // behaviour, which keeps the first-written lines).
-            const uint64_t lines =
-                std::max<uint64_t>(1, region.footprint / line_size_);
+            const uint64_t lines = shape.lines;
             auto &perm = states_[i].perm;
             perm.resize(lines);
             for (uint64_t j = 0; j < lines; ++j)
@@ -60,8 +75,21 @@ SyntheticWorkload::SyntheticWorkload(WorkloadProfile profile,
     double cumulative = 0.0;
     for (const DataRegion &region : profile_.regions) {
         cumulative += region.weight / total;
-        weight_cdf_.push_back(cumulative);
+        region_below_.push_back(util::Rng::threshold(cumulative));
     }
+
+    // Each bound is the sum next() compared against, added left to
+    // right.
+    const WorkloadProfile &p = profile_;
+    class_below_[0] = util::Rng::threshold(p.mem_frac);
+    class_below_[1] = util::Rng::threshold(p.mem_frac + p.branch_frac);
+    class_below_[2] =
+        util::Rng::threshold(p.mem_frac + p.branch_frac + p.mul_frac);
+    class_below_[3] = util::Rng::threshold(
+        p.mem_frac + p.branch_frac + p.mul_frac + p.fp_frac);
+    mispredict_ = util::Rng::odds(p.mispredict_rate);
+    jump_ = util::Rng::odds(p.jump_frac);
+    jump_slots_ = std::max<uint64_t>(1, p.code_footprint / 4);
 }
 
 void
@@ -87,9 +115,8 @@ SyntheticWorkload::buildDepTable()
     dep_table_.resize(256);
     util::Rng dep_rng(profile_.rng_seed ^ 0xDE9);
     for (auto &entry : dep_table_) {
-        const uint64_t distance =
-            1 + dep_rng.nextGeometric(profile_.dep_p);
-        entry = static_cast<uint8_t>(std::min<uint64_t>(distance, 200));
+        const uint64_t failures = dep_rng.nextGeometric(profile_.dep_p);
+        entry = static_cast<uint8_t>(std::min<uint64_t>(failures, 199) + 1);
     }
 }
 
@@ -98,12 +125,13 @@ SyntheticWorkload::reset()
 {
     rng_ = util::Rng(profile_.rng_seed);
     generated_ = 0;
-    pc_ = textBase();
+    pc_ = text_base_;
     last_fetch_line_ = 0;
-    for (RegionState &state : states_) {
+    for (size_t i = 0; i < states_.size(); ++i) {
+        RegionState &state = states_[i];
         state.cursor = 0;
         state.window_base = 0;
-        state.accesses = 0;
+        state.drift_left = profile_.regions[i].drift_interval;
         state.last_chase_op = 0;
     }
     burst_region_ = 0;
@@ -113,12 +141,12 @@ SyntheticWorkload::reset()
 size_t
 SyntheticWorkload::pickRegion()
 {
-    const double u = rng_.nextDouble();
-    for (size_t i = 0; i < weight_cdf_.size(); ++i) {
-        if (u < weight_cdf_[i])
+    const uint64_t k = rng_.next53();
+    for (size_t i = 0; i < region_below_.size(); ++i) {
+        if (k < region_below_[i])
             return i;
     }
-    return weight_cdf_.size() - 1;
+    return region_below_.size() - 1;
 }
 
 uint8_t
@@ -150,13 +178,11 @@ uint64_t
 SyntheticWorkload::regionAddress(size_t region_idx, bool *serialize_dep,
                                  bool *is_store)
 {
-    DataRegion &region = profile_.regions[region_idx];
+    const DataRegion &region = profile_.regions[region_idx];
+    const RegionShape &shape = shapes_[region_idx];
     RegionState &state = states_[region_idx];
-    const uint64_t lines =
-        std::max<uint64_t>(1, region.footprint / line_size_);
     *serialize_dep = false;
-    *is_store = rng_.chance(region.store_frac);
-    ++state.accesses;
+    *is_store = rng_.chance(shape.store);
 
     uint64_t offset = 0;
     switch (region.behavior) {
@@ -169,19 +195,18 @@ SyntheticWorkload::regionAddress(size_t region_idx, bool *serialize_dep,
         break;
       case RegionBehavior::Zipf:
       case RegionBehavior::Chase: {
-        // Drift the reuse window through the footprint.
-        if (region.drift_interval != 0 &&
-            state.accesses % region.drift_interval == 0) {
+        // Drift the reuse window through the footprint every
+        // drift_interval accesses.
+        if (region.drift_interval != 0 && --state.drift_left == 0) {
+            state.drift_left = region.drift_interval;
             state.window_base = fastMod(
-                state.window_base + region.drift_step_lines, lines);
+                state.window_base + region.drift_step_lines, shape.lines);
         }
-        const uint64_t universe =
-            region.window_lines == 0
-                ? lines
-                : std::min<uint64_t>(region.window_lines, lines);
-        const uint64_t rank = rng_.nextZipf(universe, region.zipf_s);
+        if (state.zipf.cdf.empty())
+            state.zipf = util::Rng::zipf(shape.universe, region.zipf_s);
+        const uint64_t rank = rng_.nextZipf(state.zipf);
         const uint64_t windowed =
-            fastMod(state.window_base + rank, lines);
+            fastMod(state.window_base + rank, shape.lines);
         const uint64_t line = state.perm[windowed];
         offset = static_cast<uint64_t>(line) * line_size_ +
                  rng_.nextRange(16) * 8;
@@ -198,26 +223,27 @@ SyntheticWorkload::regionAddress(size_t region_idx, bool *serialize_dep,
         if (*is_store) {
             // Advance to a fresh line every writes_per_line stores.
             const uint64_t line_index =
-                state.cursor / std::max<uint32_t>(1,
-                                                  region.writes_per_line);
+                state.cursor / shape.writes_per_line;
             ++state.cursor;
-            offset = fastMod(line_index, lines) * line_size_ +
+            offset = fastMod(line_index, shape.lines) * line_size_ +
                      rng_.nextRange(16) * 8;
         } else {
             // Loads touch recently produced lines (cache resident).
             const uint64_t produced =
-                state.cursor /
-                std::max<uint32_t>(1, region.writes_per_line);
+                state.cursor / shape.writes_per_line;
             const uint64_t back = rng_.nextRange(8);
             const uint64_t line_index =
                 produced > back ? produced - back : 0;
-            offset = fastMod(line_index, lines) * line_size_ +
+            offset = fastMod(line_index, shape.lines) * line_size_ +
                      rng_.nextRange(16) * 8;
         }
         break;
       }
     }
-    return region.base + fastMod(offset, region.footprint);
+    const uint64_t wrapped = shape.footprint_pow2
+                                 ? offset & shape.footprint_mask
+                                 : offset % region.footprint;
+    return region.base + wrapped;
 }
 
 std::vector<uint64_t>
@@ -225,8 +251,7 @@ SyntheticWorkload::liveLines(size_t region_idx) const
 {
     const DataRegion &region = profile_.regions[region_idx];
     const RegionState &state = states_[region_idx];
-    const uint64_t lines =
-        std::max<uint64_t>(1, region.footprint / line_size_);
+    const uint64_t lines = shapes_[region_idx].lines;
     std::vector<uint64_t> live;
 
     switch (region.behavior) {
@@ -248,10 +273,7 @@ SyntheticWorkload::liveLines(size_t region_idx) const
         break;
       case RegionBehavior::Zipf:
       case RegionBehavior::Chase: {
-        const uint64_t universe =
-            region.window_lines == 0
-                ? lines
-                : std::min<uint64_t>(region.window_lines, lines);
+        const uint64_t universe = shapes_[region_idx].universe;
         live.reserve(universe);
         // Least popular rank first so the most popular lines end up
         // most recently used.
@@ -281,8 +303,8 @@ SyntheticWorkload::next()
         last_fetch_line_ = fetch_line;
     }
 
-    const double u = rng_.nextDouble();
-    if (u < profile_.mem_frac) {
+    const uint64_t k = rng_.next53();
+    if (k < class_below_[0]) {
         size_t region_idx;
         if (burst_remaining_ > 0) {
             region_idx = burst_region_;
@@ -311,23 +333,17 @@ SyntheticWorkload::next()
         } else {
             op_.dep1 = fastDep();
         }
-    } else if (u < profile_.mem_frac + profile_.branch_frac) {
+    } else if (k < class_below_[1]) {
         op_.cls = OpClass::Branch;
         op_.dep1 = fastDep();
-        op_.mispredict = rng_.chance(profile_.mispredict_rate);
-        if (rng_.chance(profile_.jump_frac)) {
-            pc_ = textBase() +
-                  (rng_.nextRange(std::max<uint64_t>(
-                       1, profile_.code_footprint / 4)) *
-                   4);
-        }
-    } else if (u < profile_.mem_frac + profile_.branch_frac +
-                       profile_.mul_frac) {
+        op_.mispredict = rng_.chance(mispredict_);
+        if (rng_.chance(jump_))
+            pc_ = text_base_ + rng_.nextRange(jump_slots_) * 4;
+    } else if (k < class_below_[2]) {
         op_.cls = OpClass::IntMul;
         op_.dep1 = fastDep();
         op_.dep2 = fastDep();
-    } else if (u < profile_.mem_frac + profile_.branch_frac +
-                       profile_.mul_frac + profile_.fp_frac) {
+    } else if (k < class_below_[3]) {
         op_.cls = OpClass::FpAlu;
         op_.dep1 = fastDep();
         op_.dep2 = fastDep();

@@ -163,6 +163,15 @@ class Workload
 
 /**
  * Deterministic generator implementing a WorkloadProfile.
+ *
+ * Every per-op constant is built once, in the constructor: the
+ * op-class and region-pick thresholds (util::Rng::threshold of the
+ * same cumulative doubles a nextDouble() comparison would use), each
+ * region's store odds and geometry, and the branch odds. Each
+ * Zipf/Chase region owns its util::Rng::Zipf table, built at the
+ * region's first draw. An op therefore costs integer compares and
+ * table lookups, and the stream is the one the double comparisons
+ * define, draw for draw.
  */
 class SyntheticWorkload : public Workload
 {
@@ -191,14 +200,29 @@ class SyntheticWorkload : public Workload
     std::vector<uint64_t> liveLines(size_t region_idx) const override;
 
   private:
+    /** A region's per-access constants, built once. */
+    struct RegionShape
+    {
+        uint64_t lines = 1;    ///< max(1, footprint / line size)
+        uint64_t universe = 1; ///< Zipf/Chase ranks: window or lines
+        /** footprint - 1 when the footprint is a power of two (or 0),
+         *  so that offset % footprint is offset & mask. */
+        uint64_t footprint_mask = 0;
+        bool footprint_pow2 = false;
+        uint32_t writes_per_line = 1; ///< WriteOnce, at least 1
+        util::Rng::Odds store;        ///< chance(store_frac)
+    };
+
     /** Mutable per-region generator state. */
     struct RegionState
     {
         uint64_t cursor = 0;        ///< stream/write-once position
         uint64_t window_base = 0;   ///< drifting window origin
-        uint64_t accesses = 0;      ///< accesses to this region
+        /** Accesses until the window drifts (drift_interval != 0). */
+        uint64_t drift_left = 0;
         uint64_t last_chase_op = 0; ///< for dependence serialization
         std::vector<uint32_t> perm; ///< rank -> line permutation
+        util::Rng::Zipf zipf;       ///< built at the first draw
     };
 
     WorkloadProfile profile_;
@@ -207,13 +231,24 @@ class SyntheticWorkload : public Workload
     TraceOp op_;
     uint64_t generated_ = 0;
 
-    // Fetch state (pc_ is (re)set from textBase() in the
-    // constructor's reset() path).
+    // Fetch state (pc_ is (re)set from text_base_ in the
+    // constructor and reset()).
+    uint64_t text_base_ = kTextBase;
     uint64_t pc_ = kTextBase;
     uint64_t last_fetch_line_ = 0;
 
+    /** Op class of draw k: the first i with k < class_below_[i] picks
+     *  memory, branch, multiply, FP; none picks integer ALU. */
+    uint64_t class_below_[4] = {};
+    /** Region pick: the first region with k below its threshold, or
+     *  the last region. */
+    std::vector<uint64_t> region_below_;
+    std::vector<RegionShape> shapes_;
     std::vector<RegionState> states_;
-    std::vector<double> weight_cdf_;
+
+    util::Rng::Odds mispredict_;  ///< chance(mispredict_rate)
+    util::Rng::Odds jump_;        ///< chance(jump_frac)
+    uint64_t jump_slots_ = 1;     ///< max(1, code_footprint / 4)
 
     // Active burst: remaining accesses pinned to one region.
     size_t burst_region_ = 0;

@@ -5,7 +5,6 @@
 
 #include "util/random.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -41,55 +40,43 @@ Rng::Rng(uint64_t seed)
         s_[0] = 1;
 }
 
-void
-Rng::rebuildZipf(uint64_t n, double s)
+Rng::Zipf
+Rng::zipf(uint64_t n, double s)
 {
-    zipf_n_ = n;
-    zipf_s_ = s;
-    zipf_cdf_.resize(n);
+    panic_if(n == 0, "a Zipf table needs a non-empty universe");
+    std::vector<double> cdf(n);
     double sum = 0.0;
     for (uint64_t i = 0; i < n; ++i) {
         sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
-        zipf_cdf_[i] = sum;
+        cdf[i] = sum;
     }
-    for (auto &v : zipf_cdf_)
+    for (auto &v : cdf)
         v /= sum;
 
-    // Bucket index over the CDF: bucket b covers u in
-    // [b/K, (b+1)/K) and zipf_bucket_lo_[b] is the first CDF entry
-    // >= b/K, so a draw only binary-searches the few entries its
-    // bucket spans. Pure accelerator — the selected index is the
-    // same lower_bound result as scanning the whole CDF.
-    zipf_bucket_lo_.resize(kZipfBuckets + 1);
+    // Bucket b covers draws in [b/K, (b+1)/K); a draw there lands in
+    // [bucket_lo[b], bucket_lo[b+1]] because cdf[bucket_lo[b+1]] >=
+    // (b+1)/K.
+    Zipf table;
+    table.bucket_lo.resize(kZipfBuckets + 1);
     uint64_t lo = 0;
     for (uint64_t b = 0; b <= kZipfBuckets; ++b) {
         const double threshold =
             static_cast<double>(b) / kZipfBuckets;
-        while (lo < n && zipf_cdf_[lo] < threshold)
+        while (lo < n && cdf[lo] < threshold)
             ++lo;
-        zipf_bucket_lo_[b] = lo;
+        table.bucket_lo[b] = lo;
     }
-}
 
-uint64_t
-Rng::nextZipf(uint64_t n, double s)
-{
-    panic_if(n == 0, "nextZipf needs a non-empty universe");
-    if (n != zipf_n_ || s != zipf_s_)
-        rebuildZipf(n, s);
-    const double u = nextDouble();
-    // u in [b/K, (b+1)/K): the answer lies in
-    // [bucket_lo[b], bucket_lo[b+1]] because cdf[bucket_lo[b+1]] >=
-    // (b+1)/K > u. nextDouble() < 1.0, so b < kZipfBuckets.
-    const uint64_t b =
-        static_cast<uint64_t>(u * static_cast<double>(kZipfBuckets));
-    const auto first = zipf_cdf_.begin() + zipf_bucket_lo_[b];
-    const auto last = zipf_cdf_.begin() +
-                      std::min<uint64_t>(zipf_bucket_lo_[b + 1] + 1, n);
-    const auto it = std::lower_bound(first, last, u);
-    if (it == zipf_cdf_.end())
-        return n - 1;
-    return static_cast<uint64_t>(it - zipf_cdf_.begin());
+    // Every entry is in [0, 1] or NaN; only [0, 1) reaches the
+    // conversion.
+    table.cdf.resize(n);
+    for (uint64_t i = 0; i < n; ++i) {
+        const double scaled = cdf[i] * 0x1.0p53;
+        table.cdf[i] = scaled < 0x1.0p53
+                           ? static_cast<uint64_t>(std::floor(scaled))
+                           : kDrawSpan;
+    }
+    return table;
 }
 
 uint64_t

@@ -13,9 +13,11 @@
 #ifndef SECPROC_UTIL_RANDOM_HH
 #define SECPROC_UTIL_RANDOM_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace secproc::util
@@ -131,13 +133,59 @@ class Rng
     }
 
     /**
-     * Zipf-distributed rank in [0, n) with exponent @p s.
-     * Rank 0 is the most popular. Uses an inverted-CDF table that is
-     * rebuilt only when (n, s) changes.
+     * An inverted-CDF table for Zipf-distributed ranks in [0, n) with
+     * exponent s; rank 0 is the most popular. Built once by zipf(),
+     * drawn by nextZipf(const Zipf &), which consumes exactly one
+     * next64() per call.
+     *
+     * Exactness: zipf() sums the weights 1/(i+1)^s in double, in
+     * rank order, and divides by the total, which gives a CDF c[i] in
+     * [0, 1] or NaN (s = NaN, or weights that overflow). It stores
+     * cdf[i] = floor(c[i] * 2^53), and kDrawSpan for NaN. For every
+     * 53-bit draw k, c[i] < k * 2^-53 holds exactly when cdf[i] < k
+     * (c[i] * 2^53 is exact and k is an integer), so a draw returns
+     * the rank that std::lower_bound of nextDouble() over the double
+     * CDF returns, NaN entries included (they never compare below a
+     * draw). The bucket index makes each draw search only the entries
+     * its bucket spans; it changes no result.
      */
-    uint64_t nextZipf(uint64_t n, double s);
+    struct Zipf
+    {
+        /** First rank whose CDF is >= b / 4096, for each bucket b
+         *  in [0, 4096] (a draw's bucket is its top 12 bits). */
+        std::vector<uint64_t> bucket_lo;
+        std::vector<uint64_t> cdf; ///< floor(c[i] * 2^53); see above
 
-    /** Geometric: number of failures before first success, prob p. */
+        /** The rank for the 53-bit draw @p k (k < kDrawSpan). */
+        uint64_t
+        rank(uint64_t k) const
+        {
+            // k * 2^-53 lies in bucket floor(k * 2^-41) = k >> 41,
+            // and below the CDF entry that bucket_lo[b + 1] names.
+            const uint64_t b = k >> kZipfBucketShift;
+            const uint64_t n = cdf.size();
+            const auto first = cdf.begin() + bucket_lo[b];
+            const auto last =
+                cdf.begin() + std::min<uint64_t>(bucket_lo[b + 1] + 1, n);
+            const auto it = std::lower_bound(first, last, k);
+            if (it == cdf.end())
+                return n - 1;
+            return static_cast<uint64_t>(it - cdf.begin());
+        }
+    };
+
+    /** Build the Zipf table for ranks [0, @p n), exponent @p s
+     *  (O(n) pow calls: build it once per distribution). */
+    static Zipf zipf(uint64_t n, double s);
+
+    /** Zipf-distributed rank from table @p z: one draw. */
+    uint64_t nextZipf(const Zipf &z) { return z.rank(next53()); }
+
+    /**
+     * Geometric: number of failures before first success, prob p.
+     * No draw and 0 for p <= 0, p >= 1 and NaN; a value of 2^64 or
+     * more (p below about 1e-18) saturates to UINT64_MAX.
+     */
     uint64_t nextGeometric(double p);
 
     /** A nextGeometric(p) draw with log1p(-p) precomputed. */
@@ -147,11 +195,11 @@ class Rng
         bool draws = false;   ///< nextGeometric(p) consumes a draw
     };
 
-    /** nextGeometric(p)'s constants: no draw for p <= 0 or p >= 1. */
+    /** nextGeometric(p)'s constants: no draw unless 0 < p < 1. */
     static Geometric
     geometric(double p)
     {
-        if (p >= 1.0 || p <= 0.0)
+        if (!(p > 0.0 && p < 1.0))
             return Geometric{};
         return Geometric{std::log1p(-p), true};
     }
@@ -164,13 +212,24 @@ class Rng
         if (!g.draws)
             return 0;
         const double u = nextDouble();
-        return static_cast<uint64_t>(std::log1p(-u) / g.log1m_p);
+        // log1p(-u) / log1p(-p) is >= 0, and unbounded as p -> 0;
+        // converting 2^64 or more to uint64_t would be undefined.
+        const double failures = std::log1p(-u) / g.log1m_p;
+        if (!(failures < 0x1.0p64))
+            return UINT64_MAX;
+        return static_cast<uint64_t>(failures);
     }
 
     /** Fill @p out with @p len pseudo-random bytes. */
     void fillBytes(uint8_t *out, size_t len);
 
   private:
+    /** A Zipf table's buckets, and the shift from a 53-bit draw to
+     *  its bucket. */
+    static constexpr uint64_t kZipfBuckets = 4096;
+    static constexpr int kZipfBucketShift = 41;
+    static_assert(kDrawSpan >> kZipfBucketShift == kZipfBuckets);
+
     static uint64_t
     rotl64(uint64_t value, int amount)
     {
@@ -178,18 +237,12 @@ class Rng
     }
 
     uint64_t s_[4];
-
-    // Cached Zipf CDF for the most recent (n, s) pair.
-    static constexpr uint64_t kZipfBuckets = 4096;
-
-    uint64_t zipf_n_ = 0;
-    double zipf_s_ = 0.0;
-    std::vector<double> zipf_cdf_;
-    /** First CDF index >= b/kZipfBuckets, for each bucket b. */
-    std::vector<uint64_t> zipf_bucket_lo_;
-
-    void rebuildZipf(uint64_t n, double s);
 };
+
+// The generator is its four state words; distribution tables live
+// with their owners.
+static_assert(std::is_trivially_copyable_v<Rng>);
+static_assert(sizeof(Rng) == 4 * sizeof(uint64_t));
 
 } // namespace secproc::util
 

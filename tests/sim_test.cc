@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -294,6 +295,238 @@ TEST(Workload, AllElevenBenchmarksExist)
         // Paper numbers exist for every benchmark.
         const PaperNumbers numbers = paperNumbers(name);
         EXPECT_GT(numbers.xom_slowdown, 0.0);
+    }
+}
+
+// A dependence probability so small that the geometric draw
+// saturates still gives the longest distance, 200.
+TEST(Workload, TinyDependenceProbabilityGivesLongestDistance)
+{
+    WorkloadProfile profile = benchmarkProfile("gzip");
+    profile.dep_p = 1e-300;
+    SyntheticWorkload workload(profile);
+    for (int i = 0; i < 10'000; ++i) {
+        const TraceOp &op = workload.next();
+        if (op.cls != OpClass::Load && op.cls != OpClass::Store) {
+            ASSERT_EQ(op.dep1, 200) << "op " << i;
+        }
+    }
+}
+
+/** FNV-1a over every field of the first @p ops ops of @p profile. */
+uint64_t
+streamHash(WorkloadProfile profile, uint64_t ops, uint32_t line_size = 128)
+{
+    SyntheticWorkload workload(std::move(profile), line_size);
+    uint64_t hash = 0xCBF29CE484222325ull;
+    const auto mix = [&hash](uint64_t value, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            hash ^= (value >> (8 * i)) & 0xFF;
+            hash *= 0x100000001B3ull;
+        }
+    };
+    for (uint64_t i = 0; i < ops; ++i) {
+        const TraceOp &op = workload.next();
+        mix(static_cast<uint64_t>(op.cls), 1);
+        mix(op.dep1, 1);
+        mix(op.dep2, 1);
+        mix(op.mispredict, 1);
+        mix(op.addr, 8);
+        mix(op.fetch_line, 8);
+    }
+    return hash;
+}
+
+DataRegion
+edgeRegion(RegionBehavior behavior, uint64_t footprint, double weight)
+{
+    DataRegion region;
+    region.behavior = behavior;
+    region.footprint = footprint;
+    region.weight = weight;
+    return region;
+}
+
+/** Profiles at the generator's edges: non-power-of-two geometry,
+ *  odds of 0 and 1, two Zipf tables in one stream, and more. */
+std::vector<WorkloadProfile>
+edgeProfiles()
+{
+    std::vector<WorkloadProfile> profiles;
+    WorkloadProfile base;
+    base.mem_frac = 0.5;
+    base.rng_seed = 0xED6E;
+
+    // Two Zipf/Chase regions of different universes and exponents
+    // (small enough that a one-entry table cache stays fast).
+    WorkloadProfile p = base;
+    p.name = "two_zipf_tables";
+    p.regions = {edgeRegion(RegionBehavior::Zipf, 512 * 128, 1.0),
+                 edgeRegion(RegionBehavior::Chase, 300 * 128, 1.0)};
+    p.regions[0].zipf_s = 1.4;
+    p.regions[1].zipf_s = 1.0;
+    profiles.push_back(p);
+
+    // A Chase window wider than its 200 lines, drifting every 3
+    // accesses over a non-power-of-two footprint; a narrow drifting
+    // Zipf window; regions smaller than one line.
+    p = base;
+    p.name = "windows_and_tiny_regions";
+    p.regions = {edgeRegion(RegionBehavior::Chase, 200 * 128 + 40, 2.0),
+                 edgeRegion(RegionBehavior::Zipf, 400 * 128, 1.0),
+                 edgeRegion(RegionBehavior::Hot, 64, 0.5),
+                 edgeRegion(RegionBehavior::Zipf, 96, 0.5)};
+    p.regions[0].window_lines = 1000;
+    p.regions[0].drift_interval = 3;
+    p.regions[0].drift_step_lines = 7;
+    p.regions[1].window_lines = 64;
+    p.regions[1].drift_interval = 5;
+    p.regions[1].drift_step_lines = 3;
+    profiles.push_back(p);
+
+    // Bursty stream over a non-power-of-two footprint, a write-once
+    // region with writes_per_line 0 and a 48-line conflict ring.
+    p = base;
+    p.name = "stream_writeonce_conflict";
+    p.regions = {edgeRegion(RegionBehavior::Stream, 100'000, 1.0),
+                 edgeRegion(RegionBehavior::WriteOnce, 64 * 1024, 1.0),
+                 edgeRegion(RegionBehavior::ConflictStream, 4096, 0.5)};
+    p.regions[0].stride = 24;
+    p.regions[0].burst_length = 8;
+    p.regions[1].writes_per_line = 0;
+    p.regions[1].store_frac = 0.7;
+    p.regions[2].conflict_stride = 1000 * 128;
+    p.regions[2].conflict_lines = 48;
+    profiles.push_back(p);
+
+    // Odds of exactly 0 and 1, and a text segment of less than one
+    // instruction at a non-zero va_offset.
+    p = base;
+    p.name = "certain_odds";
+    p.branch_frac = 0.3;
+    p.mispredict_rate = 1.0;
+    p.jump_frac = 1.0;
+    p.code_footprint = 2;
+    p.va_offset = 1ull << 32;
+    p.regions = {edgeRegion(RegionBehavior::Hot, 32 * 1024, 1.0),
+                 edgeRegion(RegionBehavior::Hot, 16 * 1024, 1.0),
+                 edgeRegion(RegionBehavior::WriteOnce, 8 * 1024, 1.0)};
+    p.regions[0].store_frac = 0.0;
+    p.regions[1].store_frac = 1.0;
+    p.regions[2].store_frac = 1.0;
+    profiles.push_back(p);
+
+    // Op fractions summing to 1.2 and a zero-weight region between
+    // two others.
+    p = base;
+    p.name = "fractions_over_one";
+    p.mem_frac = 0.5;
+    p.branch_frac = 0.3;
+    p.mul_frac = 0.2;
+    p.fp_frac = 0.2;
+    p.mispredict_rate = 0.5;
+    p.jump_frac = 0.5;
+    p.regions = {edgeRegion(RegionBehavior::Hot, 8 * 1024, 1.0),
+                 edgeRegion(RegionBehavior::Stream, 64 * 1024, 0.0),
+                 edgeRegion(RegionBehavior::Zipf, 384 * 128, 2.0)};
+    profiles.push_back(p);
+
+    // Flat (s = 0) and steep (s = 3) popularity.
+    p = base;
+    p.name = "zipf_s_extremes";
+    p.regions = {edgeRegion(RegionBehavior::Zipf, 256 * 128, 1.0),
+                 edgeRegion(RegionBehavior::Chase, 500 * 128, 1.0)};
+    p.regions[0].zipf_s = 0.0;
+    p.regions[1].zipf_s = 3.0;
+    profiles.push_back(p);
+
+    // mem_frac half a draw above the first op's class draw k: the op
+    // is a memory op only if the comparison is exact at its edge.
+    p = base;
+    p.name = "class_edge";
+    const uint64_t k = util::Rng(p.rng_seed).next53();
+    EXPECT_LT(k, util::Rng::kDrawSpan / 2) << "k + 0.5 must be exact";
+    p.mem_frac = (static_cast<double>(k) + 0.5) * 0x1.0p-53;
+    p.regions = {edgeRegion(RegionBehavior::Hot, 4096, 1.0)};
+    profiles.push_back(p);
+
+    // A two-rank Zipf region whose rank-0 CDF entry c lies strictly
+    // between the first op's Zipf draw k and the draw below it: the
+    // op takes rank 1 only if c compares exactly. The Zipf draw is
+    // the third (op class, region pick, rank; store_frac 0 draws
+    // nothing). A seed with a small k leaves room for c near
+    // (k - 0.5) * 2^-53, which s = -log2(1/c - 1) gives.
+    p = base;
+    p.name = "zipf_edge";
+    p.mem_frac = 1.0;
+    uint64_t draw = 0;
+    for (;; ++p.rng_seed) {
+        util::Rng probe(p.rng_seed);
+        probe.next64();
+        probe.next64();
+        draw = probe.next53();
+        if (draw < (uint64_t{1} << 43))
+            break;
+    }
+    const double zipf_k = static_cast<double>(draw);
+    DataRegion zipf = edgeRegion(RegionBehavior::Zipf, 2 * 128, 1.0);
+    zipf.store_frac = 0.0;
+    zipf.zipf_s = -std::log2(1.0 / ((zipf_k - 0.5) * 0x1.0p-53) - 1.0);
+    const double c = 1.0 / (1.0 + 1.0 / std::pow(2.0, zipf.zipf_s));
+    EXPECT_GT(c * 0x1.0p53, zipf_k - 1.0);
+    EXPECT_LT(c * 0x1.0p53, zipf_k);
+    p.regions = {zipf};
+    profiles.push_back(p);
+    return profiles;
+}
+
+// Every op of every profile at two seeds, and of the edge profiles
+// (one at a 64-byte line), hashed: any change to a generated stream,
+// however rare the op it touches, fails here.
+TEST(Workload, StreamsArePinned)
+{
+    // {calibrated seed, rng_seed ^ 0x5EED5EED}
+    const std::map<std::string, std::pair<uint64_t, uint64_t>> want = {
+        {"ammp", {0xd2919d3c8bba9103, 0x9d7af6170cd6dfd8}},
+        {"art", {0x616786addae0553c, 0x97c5b69384c110b5}},
+        {"bzip2", {0xffe0188d6f57f5e8, 0x2067bfa0128cf0c0}},
+        {"equake", {0x7d1c3e893596316f, 0x88a42d39906f8387}},
+        {"gcc", {0xa309da511bf551da, 0xd1ed4172ae4936b5}},
+        {"gzip", {0x84230cfd1e0d244f, 0x0d45efc0c785cfe4}},
+        {"mcf", {0xc75af4b33c76a4f1, 0x1b7cfc446a5039cf}},
+        {"mesa", {0x33564968bbd3b270, 0x8ec952c70420c975}},
+        {"parser", {0xdf98a9f226c9e996, 0x8a651e3badb94a6b}},
+        {"vortex", {0x3c96c600b1c5d21a, 0xf597dde95713ead7}},
+        {"vpr", {0xd618e8e0ec92d953, 0xaab921a02733e5f7}},
+    };
+    ASSERT_EQ(want.size(), benchmarkNames().size());
+    for (const std::string &name : benchmarkNames()) {
+        WorkloadProfile profile = benchmarkProfile(name);
+        EXPECT_EQ(streamHash(profile, 200'000), want.at(name).first)
+            << name;
+        profile.rng_seed ^= 0x5EED5EED;
+        EXPECT_EQ(streamHash(profile, 200'000), want.at(name).second)
+            << name << " (reseeded)";
+    }
+
+    const std::map<std::string, uint64_t> want_edges = {
+        {"two_zipf_tables", 0x35999a7ddf0043a9},
+        {"windows_and_tiny_regions", 0x6cb67a66497efa3a},
+        {"stream_writeonce_conflict", 0x21f706196c667bea},
+        {"certain_odds", 0x1ac293456232853f},
+        {"fractions_over_one", 0x41839c089e8369c6},
+        {"zipf_s_extremes", 0xe25284431c074ddd},
+        {"class_edge", 0x674a9645715387c8},
+        {"zipf_edge", 0x5f7978eff2262d64},
+    };
+    const std::vector<WorkloadProfile> edges = edgeProfiles();
+    ASSERT_EQ(edges.size(), want_edges.size());
+    for (const WorkloadProfile &profile : edges) {
+        const uint32_t line_size =
+            profile.name == "stream_writeonce_conflict" ? 64 : 128;
+        EXPECT_EQ(streamHash(profile, 50'000, line_size),
+                  want_edges.at(profile.name))
+            << profile.name;
     }
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -155,9 +156,10 @@ TEST(Rng, ChanceApproximatesProbability)
 TEST(Rng, ZipfSkewsTowardLowRanks)
 {
     Rng rng(13);
+    const Rng::Zipf zipf = Rng::zipf(1000, 1.0);
     uint64_t low = 0, high = 0;
     for (int i = 0; i < 20000; ++i) {
-        const uint64_t rank = rng.nextZipf(1000, 1.0);
+        const uint64_t rank = rng.nextZipf(zipf);
         ASSERT_LT(rank, 1000u);
         if (rank < 10)
             ++low;
@@ -235,6 +237,125 @@ TEST(Rng, PrecomputedDrawsMatchDoubleForms)
                 ASSERT_EQ(value, 0u) << p;
             }
             ASSERT_EQ(got.next64(), want.next64()) << p;
+        }
+    }
+}
+
+// nextGeometric saturates where log1p(-u) / log1p(-p) reaches 2^64 (a
+// conversion that would be undefined), and treats NaN like p <= 0.
+TEST(Rng, GeometricSaturatesAndRejectsNaN)
+{
+    for (const double p : {1e-20, 1e-300}) {
+        const Rng::Geometric geometric = Rng::geometric(p);
+        ASSERT_TRUE(geometric.draws) << p;
+        Rng rng(31), by_value(31);
+        int saturated = 0;
+        for (int i = 0; i < 1000; ++i) {
+            Rng before = rng;
+            const uint64_t value = rng.nextGeometric(geometric);
+            ASSERT_EQ(by_value.nextGeometric(p), value) << p;
+            const double failures =
+                std::log1p(-before.nextDouble()) / std::log1p(-p);
+            if (failures >= 0x1.0p64) {
+                ASSERT_EQ(value, UINT64_MAX) << p;
+                ++saturated;
+            } else {
+                ASSERT_EQ(value, static_cast<uint64_t>(failures)) << p;
+            }
+            const uint64_t after = rng.next64();
+            ASSERT_EQ(before.next64(), after) << "one draw";
+            ASSERT_EQ(by_value.next64(), after) << p;
+        }
+        EXPECT_GT(saturated, 500) << p;
+    }
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(Rng::geometric(nan).draws);
+    Rng rng(37), untouched(37);
+    EXPECT_EQ(rng.nextGeometric(nan), 0u);
+    EXPECT_EQ(rng.nextGeometric(Rng::geometric(nan)), 0u);
+    EXPECT_EQ(rng.next64(), untouched.next64()) << "NaN draws nothing";
+}
+
+/** The double-CDF Zipf search that Rng::Zipf replaces. */
+struct DoubleZipf
+{
+    std::vector<double> cdf;
+    std::vector<uint64_t> bucket_lo;
+
+    DoubleZipf(uint64_t n, double s) : cdf(n), bucket_lo(4097)
+    {
+        double sum = 0.0;
+        for (uint64_t i = 0; i < n; ++i) {
+            sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+            cdf[i] = sum;
+        }
+        for (auto &v : cdf)
+            v /= sum;
+        uint64_t lo = 0;
+        for (uint64_t b = 0; b <= 4096; ++b) {
+            const double threshold = static_cast<double>(b) / 4096;
+            while (lo < n && cdf[lo] < threshold)
+                ++lo;
+            bucket_lo[b] = lo;
+        }
+    }
+
+    uint64_t
+    rank(double u) const
+    {
+        const uint64_t n = cdf.size();
+        const auto b = static_cast<uint64_t>(u * 4096.0);
+        const auto first = cdf.begin() + bucket_lo[b];
+        const auto last =
+            cdf.begin() + std::min<uint64_t>(bucket_lo[b + 1] + 1, n);
+        const auto it = std::lower_bound(first, last, u);
+        if (it == cdf.end())
+            return n - 1;
+        return static_cast<uint64_t>(it - cdf.begin());
+    }
+};
+
+// The integer table returns the double search's rank at both sides of
+// every table entry (sampled above 4097 ranks) and at both ends of the
+// draw range, and a seeded stream of draws consumes one next64() each.
+TEST(Rng, ZipfTableMatchesDoubleSearch)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<uint64_t, double> cases[] = {
+        {1, 1.0},     {2, 0.5},      {1000, 1.0}, {2720, 0.45},
+        {4097, 1.4},  {45056, 1.4},  {3000, 0.0}, {100, nan}};
+    for (const auto &[n, s] : cases) {
+        const Rng::Zipf zipf = Rng::zipf(n, s);
+        const DoubleZipf reference(n, s);
+        ASSERT_EQ(zipf.cdf.size(), n);
+        ASSERT_EQ(zipf.bucket_lo, reference.bucket_lo) << n << " " << s;
+
+        const auto check = [&](uint64_t k) {
+            if (k >= Rng::kDrawSpan)
+                return;
+            ASSERT_EQ(zipf.rank(k),
+                      reference.rank(static_cast<double>(k) * 0x1.0p-53))
+                << "n " << n << ", s " << s << ", draw " << k;
+        };
+        check(0);
+        check(Rng::kDrawSpan - 1);
+        Rng pick(n);
+        const uint64_t probes = n <= 4097 ? n : 10'000;
+        for (uint64_t j = 0; j < probes; ++j) {
+            const uint64_t i = n <= 4097 ? j : pick.nextRange(n);
+            const uint64_t entry = zipf.cdf[i];
+            if (entry > 0)
+                check(entry - 1);
+            check(entry);
+            check(entry + 1);
+        }
+
+        Rng got(n ^ 0x21F), want(n ^ 0x21F);
+        for (int i = 0; i < 100'000; ++i) {
+            ASSERT_EQ(got.nextZipf(zipf), reference.rank(want.nextDouble()))
+                << "n " << n << ", s " << s << ", draw " << i;
+            ASSERT_EQ(got.next64(), want.next64()) << "one draw per rank";
         }
     }
 }
