@@ -49,14 +49,6 @@ TraceSink::instant(TrackId track, std::string name, uint64_t cycle,
         Event{track, std::move(name), cycle, 0, true, std::move(args)});
 }
 
-void
-TraceSink::clear()
-{
-    track_names_.clear();
-    track_ids_.clear();
-    events_.clear();
-}
-
 util::Json
 TraceSink::toChromeJson() const
 {

@@ -70,9 +70,6 @@ class TraceSink
     /** Tracks created so far. */
     size_t trackCount() const { return track_names_.size(); }
 
-    /** Drop all events and tracks. */
-    void clear();
-
     /**
      * Export as a Chrome trace-event document: one metadata-named
      * process, one named thread per track, then every event in

@@ -141,7 +141,7 @@ LiveInstall::begin(const InstallPlan &plan, uint64_t cycle)
     staged_bytes_ = 0;
     admission_.reset();
     result_.reset();
-    bundle_.reset();
+    load_base_ = 0;
     InstallTiming::start(plan, cycle);
 }
 
@@ -339,15 +339,8 @@ LiveInstall::lineAddr(InstallStep step, uint64_t index) const
       case InstallStep::StageWrite:
       case InstallStep::ReverifyRead:
         return updater_.slotBase(slot_) + index * line;
-      case InstallStep::LoadWrite: {
-        // The image streams to its home region; its entry point
-        // anchors the address for bank selection purposes.
-        const uint64_t base =
-            bundle_.has_value()
-                ? util::alignDown(bundle_->manifest.entry_point, line)
-                : 0;
-        return base + index * line;
-      }
+      case InstallStep::LoadWrite:
+        return load_base_ + index * line;
       default:
         panic("no line address in step ", installStepName(step));
     }
@@ -403,15 +396,15 @@ LiveInstall::renderAdmission()
         return false;
     }
     if (!delta_mode_) {
-        auto parsed = UpdateBundle::deserialize(*bundle_bytes);
+        const auto parsed = UpdateBundle::deserialize(*bundle_bytes);
         if (!parsed.has_value()) {
             admission_ = VerifyResult{UpdateStatus::MalformedBundle,
                                       "transport stream does not parse"};
             return false;
         }
         admission_ = updater_.verify(*parsed);
-        if (admission_->ok())
-            bundle_ = std::move(parsed);
+        load_base_ = util::alignDown(parsed->manifest.entry_point,
+                                     config().line_bytes);
         return admission_->ok();
     }
     const auto delta = DeltaBundle::deserialize(*bundle_bytes);
@@ -420,19 +413,20 @@ LiveInstall::renderAdmission()
                                   "transport delta stream does not parse"};
         return false;
     }
-    auto rec = updater_.reconstructDelta(*delta, system_.mainMemory());
+    const auto rec = updater_.reconstructDelta(*delta, system_.mainMemory());
     admission_ = rec.result;
     if (!admission_->ok())
         return false; // BaseMismatch here = "request the full bundle"
-    bundle_ = std::move(rec.bundle);
-    framed_slot_ = frameBundle(*bundle_);
+    load_base_ = util::alignDown(rec.bundle->manifest.entry_point,
+                                 config().line_bytes);
+    framed_slot_ = frameBundle(*rec.bundle);
     // The reconstructed extent is known only now: fill in the
     // stage/reverify/load line counts the remaining steps bill, and
     // open (or resume) the journal session over the slot payload the
     // stage is about to write.
     const InstallPlan plan =
         InstallPlan::fromFramedBytes(framed_slot_.size(),
-                                     bundle_->image.totalBytes(),
+                                     rec.bundle->image.totalBytes(),
                                      config().line_bytes)
             .asDelta(framed_.size(), base_framed_bytes_,
                      config().line_bytes);
@@ -448,29 +442,17 @@ LiveInstall::commit(InstallStep step)
       case InstallStep::AdmissionSig:
         // The manifest signature cleared: the functional verdict.
         updater_.setTraceCycle(cursor());
-        if (!renderAdmission()) {
-            result_ = InstallResult{admission_->status,
-                                    admission_->detail, compartment_, 0,
-                                    updater_.activeSlot()};
-            return false;
-        }
+        if (renderAdmission())
+            return true;
+        result_ = InstallResult{admission_->status, admission_->detail,
+                                compartment_, 0, updater_.activeSlot()};
+        break;
+      case InstallStep::StageWrite:
+        // Every framed byte is in the slot: the line writes were the
+        // stage. Nothing is re-verified or rewritten here — the slot
+        // is the source of truth, and activation re-verifies it.
+        updater_.commitStaged();
         return true;
-      case InstallStep::StageWrite: {
-        // Every framed byte is in the slot; commit the functional
-        // staged-pending state (stage() re-verifies, as the
-        // functional plane always does, and rewrites the same
-        // bytes).
-        updater_.setTraceCycle(cursor());
-        const VerifyResult staged =
-            updater_.stage(*bundle_, system_.mainMemory());
-        if (!staged.ok()) {
-            result_ = InstallResult{staged.status, staged.detail,
-                                    compartment_, 0,
-                                    updater_.activeSlot()};
-            return false;
-        }
-        return true;
-      }
       case InstallStep::CapsuleUnwrap:
         // The key capsule is unwrapped: the atomic functional
         // commit, the one cycle the new image becomes active.
@@ -478,13 +460,21 @@ LiveInstall::commit(InstallStep step)
         result_ = updater_.activate(compartment_, system_.mainMemory(),
                                     system_.virtualMemory(),
                                     kLiveImageAsid, system_.engine());
-        if (!result_->ok())
-            return false;
-        activated_at_ = cursor();
-        return true;
+        if (result_->ok()) {
+            activated_at_ = cursor();
+            return true;
+        }
+        break;
       default:
         return true;
     }
+    // Refused. The journal record vouches for bytes a verdict has
+    // just refused, so retire it: a retry fetches and writes them
+    // afresh instead of resuming over them. (A power cut is not a
+    // refusal — it leaves the install Idle and the record intact.)
+    if (StagingJournal *journal = updater_.journal(); journal != nullptr)
+        journal->clear(slot_);
+    return false;
 }
 
 } // namespace secproc::update

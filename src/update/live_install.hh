@@ -27,9 +27,10 @@
  *  3. stage: the framed bundle streams into the inactive A/B slot —
  *     each write moves that line's real bytes, so a power cut
  *     mid-stage leaves a genuinely torn slot for activation to
- *     refuse. At completion UpdateEngine::stage() commits the
- *     staged-pending state (re-verifying, as the functional plane
- *     always does);
+ *     refuse. The line writes are the stage: at completion
+ *     UpdateEngine::commitStaged() marks the slot staged, with no
+ *     re-verify and no rewrite, so bytes damaged after their write
+ *     reach activation's re-verify as they are;
  *  4. re-verify + load + capsule unwrap: the staged lines are read
  *     back and digested, the image streams to its home region, the
  *     key capsule unwrap reserves the engine; then
@@ -85,7 +86,7 @@ enum class LiveInstallPhase
     Load,          ///< image streaming to its home region
     Attest,        ///< attestation quote reservation
     Done,          ///< activated; result() holds the outcome
-    Failed,        ///< refused (admission/stage/activate); see result
+    Failed,        ///< refused (admission/activate); see result
 };
 
 /** Short phase name for logs and reports. */
@@ -221,8 +222,9 @@ class LiveInstall : public InstallTiming
      *  Stage writes are skipped and stagedBytesWritten() excludes
      *  them. */
     std::vector<uint8_t> stage_line_resumed_;
-    /** Parsed from the transport buffer at admission. */
-    std::optional<UpdateBundle> bundle_;
+    /** Where the image streams at load: its entry point, line
+     *  aligned (anchors bank selection); set by admission. */
+    uint64_t load_base_ = 0;
     uint64_t staged_bytes_ = 0;
 
     std::optional<VerifyResult> admission_;

@@ -15,13 +15,16 @@
  *
  * Trust model: the journal is an *efficiency* hint, never an
  * authority. Resumed bytes still flow through the same admission
- * parse, stage-time verify and activation re-verify as fresh bytes;
- * a journal that lies about completed chunks (bit rot, torn journal
- * write) produces a bundle that fails re-verification exactly like
- * any other corrupt slot. Persisted across simulated reboots like
- * the RollbackStore (serialize/deserialize), though unlike the
- * counter bank it can live in untrusted NVRAM for exactly the
- * reason above.
+ * parse and verify, and the same activation re-verify of the slot,
+ * as fresh bytes; a journal that lies about completed chunks (bit
+ * rot, torn journal write) produces a bundle that fails verification
+ * exactly like any other corrupt slot. A refused install retires its
+ * slot's record, so the next attempt downloads and writes every
+ * chunk afresh instead of resuming over bytes a verdict refused; a
+ * power cut is not a refusal and keeps the record. Persisted across
+ * simulated reboots like the RollbackStore (serialize/deserialize),
+ * though unlike the counter bank it can live in untrusted NVRAM for
+ * exactly the reason above.
  */
 
 #ifndef SECPROC_UPDATE_STAGING_JOURNAL_HH
@@ -67,7 +70,7 @@ class StagingJournal
     /** Payload bytes covered by completed chunks. */
     uint64_t completedBytes(uint32_t slot) const;
 
-    /** Drop @p slot's record (activation success, or abandon). */
+    /** Drop @p slot's record (activation success, or a refusal). */
     void clear(uint32_t slot);
 
     /** Does @p slot have an open record? */

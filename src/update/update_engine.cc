@@ -169,14 +169,19 @@ UpdateEngine::verifyManifest(
 VerifyResult
 UpdateEngine::verify(const UpdateBundle &bundle) const
 {
-    const UpdateManifest &manifest = bundle.manifest;
-
     // Steps 0-2 and anti-rollback live in verifyManifest — one
     // implementation shared with the delta path.
     const VerifyResult head =
-        verifyManifest(manifest, bundle.signature);
+        verifyManifest(bundle.manifest, bundle.signature);
     if (!head.ok())
         return head;
+    return verifyImage(bundle);
+}
+
+VerifyResult
+UpdateEngine::verifyImage(const UpdateBundle &bundle) const
+{
+    const UpdateManifest &manifest = bundle.manifest;
 
     // The image must be exactly what the manifest signed:
     //    per-section digests, then the key capsule.
@@ -233,28 +238,33 @@ VerifyResult
 UpdateEngine::stage(const UpdateBundle &bundle, mem::MainMemory &memory)
 {
     const VerifyResult admission = verify(bundle);
-    if (!admission.ok())
-        return admission;
+    if (admission.ok())
+        writeStaged(bundle, memory);
+    return admission;
+}
 
-    // verify() already gated the size; this only guards the framing
-    // arithmetic itself.
+void
+UpdateEngine::writeStaged(const UpdateBundle &bundle,
+                          mem::MainMemory &memory)
+{
+    // The caller verified the bundle, size gate included; this only
+    // guards the framing arithmetic itself.
     const std::vector<uint8_t> framed = frameBundle(bundle);
     panic_if(framed.size() > staging_.slot_size,
              "verified bundle does not fit its slot");
-    memory.write(slotBase(stagingSlot()), framed.data(), framed.size());
-    staged_pending_ = true;
+    const uint32_t slot = stagingSlot();
+    memory.write(slotBase(slot), framed.data(), framed.size());
     if (journal_ != nullptr) {
-        // A monolithic stage() writes the whole payload at once:
-        // open (or adopt) the record and mark every chunk, so an
-        // activation failure later still resumes for free.
-        const uint32_t slot = stagingSlot();
+        // A monolithic write lands the whole payload at once: open
+        // (or adopt) the record and mark every chunk, so a retry
+        // after a power cut before activation resumes for free.
         journal_->begin(slot, sha256Digest(framed), framed.size(),
                         bundle.manifest.line_size);
         const uint64_t chunks = journal_->chunkCount(slot);
         for (uint64_t i = 0; i < chunks; ++i)
             journal_->markChunk(slot, i);
     }
-    return admission;
+    commitStaged();
 }
 
 std::optional<uint64_t>
@@ -333,11 +343,12 @@ UpdateEngine::reconstructDelta(const DeltaBundle &delta,
     bundle.signature = delta.signature;
     bundle.image = std::move(*image);
 
-    // The reconstructed bundle goes through the complete admission
-    // chain — a tampered literal op that survived the bounds checks
-    // dies here on the signed digests, exactly like any other
-    // corrupted full bundle.
-    const VerifyResult admission = verify(bundle);
+    // The manifest and signature are the ones verifyManifest cleared
+    // above; the rebuilt image gets the image half of verify() — a
+    // tampered literal op that survived the bounds checks dies here
+    // on the signed digests, exactly like any other corrupted full
+    // bundle.
+    const VerifyResult admission = verifyImage(bundle);
     if (!admission.ok())
         return {admission, std::nullopt};
     return {admission, std::move(bundle)};
@@ -347,10 +358,10 @@ VerifyResult
 UpdateEngine::stageDelta(const DeltaBundle &delta,
                          mem::MainMemory &memory)
 {
-    DeltaReconstruction rec = reconstructDelta(delta, memory);
-    if (!rec.result.ok())
-        return rec.result;
-    return stage(*rec.bundle, memory);
+    const DeltaReconstruction rec = reconstructDelta(delta, memory);
+    if (rec.result.ok())
+        writeStaged(*rec.bundle, memory);
+    return rec.result;
 }
 
 InstallResult
@@ -393,11 +404,11 @@ UpdateEngine::activate(secure::CompartmentId compartment,
                         trace_cycle_, {{"pass", admission.ok()}});
     }
     if (!admission.ok()) {
-        // Anything that re-fails here was verified clean at stage()
+        // Anything that re-fails here was verified clean at admission
         // and has since been damaged in untrusted memory — except
         // rollback-store races (the counter advanced, or the last
-        // free slot was consumed, between stage and activate), which
-        // keep their own statuses.
+        // free slot was consumed, since admission), which keep their
+        // own statuses.
         const UpdateStatus status =
             admission.status == UpdateStatus::Rollback ||
                     admission.status == UpdateStatus::CounterBankFull

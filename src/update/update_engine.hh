@@ -3,21 +3,26 @@
  * Processor-side secure update engine.
  *
  * Receives signed update bundles from untrusted transport and takes
- * them live without ever trusting unverified bytes:
+ * them live without ever trusting unverified bytes. Every install
+ * checks the signed manifest and image exactly twice, once at each
+ * trust boundary the bytes cross:
  *
- *  1. verify() — vendor signature over the manifest, target
- *     processor identity, per-section + capsule digests, and the
- *     anti-rollback counter, all inside the security boundary;
- *  2. stage() — write the serialized bundle into the inactive half
- *     of an A/B staging area in untrusted MainMemory (a download
- *     may be interrupted or corrupted at any point);
+ *  1. verify() — admission, over the bytes that arrived: vendor
+ *     signature over the manifest, target processor identity, the
+ *     anti-rollback counter, per-section + capsule + whole-image
+ *     digests and slot fit, all inside the security boundary;
+ *  2. stage — write the framed bundle into the inactive half of an
+ *     A/B staging area in untrusted MainMemory, then commitStaged().
+ *     Staging proves nothing: the slot may be torn or corrupted at
+ *     any point after (or during) the write;
  *  3. activate() — read the staged bytes back, re-verify everything
- *     (the staging area is outside the boundary), then atomically
- *     hand the image to xom::SecureLoader — which unwraps the key
- *     capsule, installs the compartment key and registers line
- *     states — flip the active slot and commit the rollback
- *     counter. A failure at any step leaves the previous image
- *     active and the counter untouched.
+ *     (the slot is the source of truth, and it sits outside the
+ *     boundary), then atomically hand the image to
+ *     xom::SecureLoader — which unwraps the key capsule, installs
+ *     the compartment key and registers line states — flip the
+ *     active slot and commit the rollback counter. A failure at any
+ *     step leaves the previous image active and the counter
+ *     untouched.
  */
 
 #ifndef SECPROC_UPDATE_UPDATE_ENGINE_HH
@@ -180,12 +185,21 @@ class UpdateEngine
                    const std::vector<uint8_t> &signature) const;
 
     /**
-     * Verify @p bundle and write its serialized form into the
-     * inactive staging slot in @p memory. Does not touch the
-     * running image.
+     * verify() @p bundle, then write its framed form into the
+     * inactive staging slot in @p memory and commitStaged(). Does
+     * not touch the running image.
      */
     VerifyResult stage(const UpdateBundle &bundle,
                        mem::MainMemory &memory);
+
+    /**
+     * Mark the inactive slot as holding a staged update, for a
+     * caller that wrote the framed bundle itself (LiveInstall's
+     * per-line stage writes). Proves nothing about the slot's
+     * bytes: activate() re-reads and re-verifies them, and stays the
+     * one authority over what goes live.
+     */
+    void commitStaged() { staged_pending_ = true; }
 
     /** Outcome of reconstructDelta: the full bundle when Ok. */
     struct DeltaReconstruction
@@ -196,17 +210,24 @@ class UpdateEngine
 
     /**
      * Rebuild the full update bundle a delta describes, slot-to-slot:
-     * verify the delta's signed manifest, read the base bundle out of
-     * the *active* slot in @p memory, check its image against the
-     * manifest's base_digest (BaseMismatch on any disagreement — the
-     * caller's fallback is to fetch the full bundle), apply the patch
-     * ops, and run the reconstructed bundle through the complete
-     * verify() chain. Read-only: no engine or memory state changes.
+     * verifyManifest() the delta's signed manifest, read the base
+     * bundle out of the *active* slot in @p memory, check its image
+     * against the manifest's base_digest (BaseMismatch on any
+     * disagreement — the caller's fallback is to fetch the full
+     * bundle), apply the patch ops, and check the reconstructed
+     * image against the signed digests and the slot size (the image
+     * half of verify(); the manifest half already ran). The result
+     * is the delta's admission verdict. Read-only: no engine or
+     * memory state changes.
      */
     DeltaReconstruction reconstructDelta(const DeltaBundle &delta,
                                          mem::MainMemory &memory) const;
 
-    /** reconstructDelta + stage of the reconstructed bundle. */
+    /**
+     * reconstructDelta(), then the same slot write and commitStaged()
+     * as stage() — the reconstruction already verified the bundle,
+     * so it is not verified again before activate().
+     */
     VerifyResult stageDelta(const DeltaBundle &delta,
                             mem::MainMemory &memory);
 
@@ -300,8 +321,9 @@ class UpdateEngine
      * attached, stage()/stageDelta() record the staged payload as
      * fully written and a successful activate() clears the slot's
      * record; the chunk-granular bookkeeping during an incremental
-     * stage is driven by LiveInstall. Purely an efficiency aid —
-     * see staging_journal.hh for why it is untrusted by design.
+     * stage, and retiring the record of a refused install, are
+     * LiveInstall's. Purely an efficiency aid — see
+     * staging_journal.hh for why it is untrusted by design.
      */
     void setJournal(StagingJournal *journal) { journal_ = journal; }
 
@@ -322,6 +344,18 @@ class UpdateEngine
     void setTraceCycle(uint64_t cycle) { trace_cycle_ = cycle; }
 
   private:
+    /**
+     * The image half of verify(): per-section, capsule and
+     * whole-image digests against @p bundle's manifest, and the fit
+     * of the framed bundle in a slot.
+     */
+    VerifyResult verifyImage(const UpdateBundle &bundle) const;
+
+    /** Frame verified @p bundle into the inactive slot, journal it
+     *  as fully written, and commitStaged(). */
+    void writeStaged(const UpdateBundle &bundle,
+                     mem::MainMemory &memory);
+
     crypto::RsaPublicKey vendor_key_;
     crypto::RsaKeyPair processor_key_;
     std::optional<crypto::RsaKeyPair> attestation_key_;

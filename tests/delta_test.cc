@@ -10,8 +10,9 @@
  * shipping-size win deltas exist for, BaseMismatch as a clean
  * fall-back-to-full signal (never a crash), tampered patch ops dying
  * at the signed-manifest checks, the serializer-derived framed-size
- * gate, the staging journal's resume semantics, and per-phase cycle
- * accounting that adds up to the whole install on every path.
+ * gate, the staging journal's resume semantics (and a refused
+ * install retiring its record), and per-phase cycle accounting that
+ * adds up to the whole install on every path.
  */
 
 #include <gtest/gtest.h>
@@ -643,6 +644,128 @@ TEST(Delta, PhaseCyclesSumToInstallCycles)
     EXPECT_GT(cut.live->transport().chunksSkipped(), 0u)
         << "the re-attempt must resume, not restart";
     expectPhasesSumToInstall(*cut.live);
+}
+
+// ------------------------- staging journal: a refusal retires it
+
+/** Step @p rig's install until it reaches @p phase (or ends). */
+void
+runUntilPhase(LiveRig &rig, LiveInstallPhase phase)
+{
+    while (!rig.live->done() && rig.live->phase() != phase)
+        rig.system->run(10);
+}
+
+/** Flip one byte of staged line 2 of @p slot: slot memory rots. */
+void
+rotSlotLine(LiveRig &rig, uint32_t slot)
+{
+    const uint64_t addr = rig.updater->slotBase(slot) + 2 * kLine + 5;
+    uint8_t byte = 0;
+    rig.system->mainMemory().read(addr, &byte, 1);
+    byte ^= 0x01;
+    rig.system->mainMemory().write(addr, &byte, 1);
+}
+
+TEST(StagingJournal, RotCaughtAtActivationRetiresTheRecord)
+{
+    KeyRing ring(0xDE184);
+    const ReleasePair pair = makePair(ring, 32ull << 10, 0.10, 0xB5);
+    LiveRig rig(ring);
+    rig.live->start(pair.base, 0);
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    const uint32_t slot = rig.updater->stagingSlot();
+
+    // The stage completes, then a staged line rots before activation
+    // reads it back: refused, and the record that vouched for the
+    // line is gone.
+    rig.live->start(pair.next, rig.system->core().cycles());
+    runUntilPhase(rig, LiveInstallPhase::Reverify);
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Reverify);
+    rotSlotLine(rig, slot);
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
+    EXPECT_EQ(rig.live->result()->status, UpdateStatus::StagingCorrupt);
+    EXPECT_FALSE(rig.journal.active(slot));
+
+    // The next attempt downloads and stages afresh, and lands.
+    rig.live->start(pair.next, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done)
+        << rig.live->result()->detail;
+    EXPECT_EQ(rig.live->transport().chunksSkipped(), 0u);
+    EXPECT_EQ(rig.rollback.current("fw"), 2u);
+}
+
+TEST(StagingJournal, RotWhilePoweredOffIsRefusedOnceThenLands)
+{
+    KeyRing ring(0xDE185);
+    const ReleasePair pair = makePair(ring, 32ull << 10, 0.10, 0xB6);
+    LiveRig rig(ring);
+    rig.live->start(pair.base, 0);
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+    const uint32_t slot = rig.updater->stagingSlot();
+
+    // Power dies once the stage is complete, and a staged line rots
+    // while the device is off.
+    rig.live->start(pair.next, rig.system->core().cycles());
+    runUntilPhase(rig, LiveInstallPhase::Reverify);
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Reverify);
+    rig.system->reset();
+    rotSlotLine(rig, slot);
+
+    // The first retry resumes from the journal, copies the rotted
+    // line back out of the slot, and is refused at admission; the
+    // refusal retires the record.
+    rig.live->start(pair.next, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    EXPECT_GT(rig.live->transport().chunksSkipped(), 0u);
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
+    EXPECT_FALSE(rig.live->admission()->ok());
+    EXPECT_FALSE(rig.journal.active(slot));
+
+    // The second retry downloads and stages afresh, and lands.
+    rig.live->start(pair.next, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done)
+        << rig.live->admission()->detail;
+    EXPECT_EQ(rig.live->transport().chunksSkipped(), 0u);
+    EXPECT_EQ(rig.rollback.current("fw"), 2u);
+}
+
+TEST(StagingJournal, RefusedDeltaRestagesEveryLine)
+{
+    KeyRing ring(0xDE186);
+    const ReleasePair pair = makePair(ring, 32ull << 10, 0.10, 0xB7);
+    LiveRig rig(ring);
+    ASSERT_TRUE(rig.updater
+                    ->install(pair.base, 1, rig.system->mainMemory(),
+                              rig.system->virtualMemory(), 1,
+                              rig.system->engine())
+                    .ok());
+    const uint32_t slot = rig.updater->stagingSlot();
+
+    rig.live->startDelta(pair.delta, rig.system->core().cycles());
+    runUntilPhase(rig, LiveInstallPhase::Reverify);
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Reverify);
+    rotSlotLine(rig, slot);
+    ASSERT_TRUE(rig.runToCompletion());
+    ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
+    EXPECT_EQ(rig.live->result()->status, UpdateStatus::StagingCorrupt);
+    EXPECT_FALSE(rig.journal.active(slot));
+
+    // A delta stream carries no slot bytes, so a retry that resumed
+    // would skip every stage write and activate the rotted slot
+    // again; with the record retired it writes every line.
+    rig.live->startDelta(pair.delta, rig.system->core().cycles());
+    ASSERT_TRUE(rig.runToCompletion());
+    EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done)
+        << rig.live->result()->detail;
+    EXPECT_EQ(rig.live->stagedBytesWritten(),
+              kSlotHeaderBytes + pair.next.serializedSize());
+    EXPECT_EQ(rig.rollback.current("fw"), 2u);
 }
 
 } // namespace

@@ -9,6 +9,9 @@
  * to a pure functional UpdateEngine run of the same bundle. On the
  * cycle side, the arbiter-paced install must cost the foreground
  * strictly less than the PR-4 fixed pacing at both engine latencies.
+ * Every install verifies once per trust boundary — at admission and
+ * at activation — so a slot line damaged after its stage write is
+ * refused, never repaired.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "crypto/latency.hh"
 #include "exp/runner.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "ota/transport.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
@@ -23,6 +27,7 @@
 #include "update/install_timing.hh"
 #include "update/live_install.hh"
 #include "update/update_engine.hh"
+#include "util/json.hh"
 
 namespace
 {
@@ -58,9 +63,13 @@ struct KeyRing
     {}
 };
 
+/** A signed release whose image is @p image_bytes of @p version. With
+ *  @p base, the manifest names @p base's image, so a delta against it
+ *  can be cut (ImageBuilder::buildDelta). */
 UpdateBundle
 makeBundle(KeyRing &keys, uint32_t version, uint64_t image_bytes,
-           secure::CipherKind cipher)
+           secure::CipherKind cipher,
+           const UpdateBundle *base = nullptr)
 {
     xom::PlainProgram program;
     program.title = "fw";
@@ -75,6 +84,8 @@ makeBundle(KeyRing &keys, uint32_t version, uint64_t image_bytes,
     spec.image_version = version;
     spec.rollback_counter = version;
     spec.cipher = cipher;
+    if (base != nullptr)
+        spec.base_digest = sha256DigestOfImage(base->image);
     return keys.vendor.build(program, spec, keys.processor.pub,
                              keys.rng);
 }
@@ -525,6 +536,163 @@ TEST(LiveInstall, SystemResetDropsInFlightWork)
                     rig.system->core().cycles());
     EXPECT_TRUE(rig.runToCompletion());
     EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+}
+
+// ------------------------------------------ one check per boundary
+
+TEST(LiveInstall, SlotTamperedAfterItsStageWriteIsRefused)
+{
+    // The stage's line writes are the stage: nothing rewrites the
+    // slot before activation, so a line damaged after its write
+    // reaches activation's re-verify as it is, and is refused.
+    for (const bool delta : {false, true}) {
+        SCOPED_TRACE(delta ? "delta install" : "full install");
+        KeyRing ring(0x7A3F);
+        const UpdateBundle v1 =
+            makeBundle(ring, 1, 32ull << 10, secure::CipherKind::Des);
+        const UpdateBundle v2 = makeBundle(
+            ring, 2, 32ull << 10, secure::CipherKind::Des, &v1);
+        LiveRig rig(ring, crypto::kPaperCryptoLatency,
+                    liveConfig(fastTransport()));
+        rig.live->start(v1, 0);
+        ASSERT_TRUE(rig.runToCompletion());
+        ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Done);
+        const uint32_t v1_slot = rig.updater->activeSlot();
+        const uint32_t slot = rig.updater->stagingSlot();
+
+        const uint64_t now = rig.system->core().cycles();
+        if (delta)
+            rig.live->startDelta(ring.vendor.buildDelta(v1, v2), now);
+        else
+            rig.live->start(v2, now);
+        constexpr uint64_t kWrittenLines = 4;
+        while (!rig.live->done() &&
+               (rig.live->phase() != LiveInstallPhase::Stage ||
+                rig.live->stagedBytesWritten() < kWrittenLines * kLine))
+            rig.system->run(10);
+        ASSERT_EQ(rig.live->phase(), LiveInstallPhase::Stage);
+
+        // Flip one byte of slot line 2, already written.
+        const uint64_t addr = rig.updater->slotBase(slot) + 2 * kLine + 5;
+        uint8_t byte = 0;
+        rig.system->mainMemory().read(addr, &byte, 1);
+        byte ^= 0x01;
+        rig.system->mainMemory().write(addr, &byte, 1);
+
+        ASSERT_TRUE(rig.runToCompletion());
+        EXPECT_EQ(rig.live->phase(), LiveInstallPhase::Failed);
+        ASSERT_TRUE(rig.live->result().has_value());
+        EXPECT_EQ(rig.live->result()->status,
+                  UpdateStatus::StagingCorrupt)
+            << rig.live->result()->detail;
+        EXPECT_EQ(rig.updater->activeSlot(), v1_slot);
+        ASSERT_TRUE(rig.updater->activeManifest().has_value());
+        EXPECT_EQ(rig.updater->activeManifest()->image_version, 1u);
+        EXPECT_EQ(rig.rollback.current("fw"), 1u);
+    }
+}
+
+/** {manifest checks, activation re-verifies}: the instants on
+ *  @p sink's "update_engine" track. */
+std::pair<size_t, size_t>
+engineDecisions(const obs::TraceSink &sink)
+{
+    const util::Json doc = sink.toChromeJson();
+    const util::Json &events = doc.at("traceEvents");
+    uint64_t tid = 0; // no real track renders as tid 0
+    for (size_t i = 0; i < events.size(); ++i) {
+        const util::Json &event = events[i];
+        if (event.at("ph").str() == "M" &&
+            event.at("name").str() == "thread_name" &&
+            event.at("args").at("name").str() == "update_engine")
+            tid = event.at("tid").asU64();
+    }
+    std::pair<size_t, size_t> count{0, 0};
+    for (size_t i = 0; i < events.size(); ++i) {
+        const util::Json &event = events[i];
+        if (tid == 0 || event.at("ph").str() != "i" ||
+            event.at("tid").asU64() != tid)
+            continue;
+        count.first += event.at("name").str() == "decision.sequence_check";
+        count.second +=
+            event.at("name").str() == "decision.reverify_at_activation";
+    }
+    return count;
+}
+
+/**
+ * engineDecisions() per install, counted by difference: the sink is
+ * never reset.
+ */
+class DecisionTally
+{
+  public:
+    explicit DecisionTally(const obs::TraceSink &sink)
+        : sink_(sink), last_(engineDecisions(sink))
+    {}
+
+    /** engineDecisions() since the last take(). */
+    std::pair<size_t, size_t>
+    take()
+    {
+        const std::pair<size_t, size_t> now = engineDecisions(sink_);
+        const std::pair<size_t, size_t> since{now.first - last_.first,
+                                              now.second - last_.second};
+        last_ = now;
+        return since;
+    }
+
+  private:
+    const obs::TraceSink &sink_;
+    std::pair<size_t, size_t> last_;
+};
+
+TEST(LiveInstall, OneManifestCheckPerTrustBoundary)
+{
+    // Every install checks the signed manifest twice: at admission,
+    // over the bytes that arrived, and at activation, over the slot.
+    const std::pair<size_t, size_t> kTwoChecksOneReverify{2, 1};
+    KeyRing ring(0x0B0D);
+    const UpdateBundle v1 =
+        makeBundle(ring, 1, 16ull << 10, secure::CipherKind::Des);
+    const UpdateBundle v2 =
+        makeBundle(ring, 2, 16ull << 10, secure::CipherKind::Des, &v1);
+    const DeltaBundle delta = ring.vendor.buildDelta(v1, v2);
+
+    LiveRig live(ring, crypto::kPaperCryptoLatency,
+                 liveConfig(fastTransport()));
+    obs::TraceSink live_sink;
+    live.system->setTraceSink(&live_sink);
+    DecisionTally live_tally(live_sink);
+    live.live->start(v1, 0);
+    ASSERT_TRUE(live.runToCompletion());
+    ASSERT_EQ(live.live->phase(), LiveInstallPhase::Done);
+    EXPECT_EQ(live_tally.take(), kTwoChecksOneReverify)
+        << "live full install";
+    live.live->startDelta(delta, live.system->core().cycles());
+    ASSERT_TRUE(live.runToCompletion());
+    ASSERT_EQ(live.live->phase(), LiveInstallPhase::Done);
+    EXPECT_EQ(live_tally.take(), kTwoChecksOneReverify)
+        << "live delta install";
+
+    FunctionalRig functional(ring);
+    obs::TraceSink functional_sink;
+    functional.updater->setTrace(&functional_sink);
+    DecisionTally functional_tally(functional_sink);
+    ASSERT_TRUE(functional.updater
+                    ->install(v1, 1, functional.memory, functional.vm,
+                              1, *functional.engine)
+                    .ok());
+    EXPECT_EQ(functional_tally.take(), kTwoChecksOneReverify)
+        << "functional install()";
+    ASSERT_TRUE(
+        functional.updater->stageDelta(delta, functional.memory).ok());
+    ASSERT_TRUE(functional.updater
+                    ->activate(1, functional.memory, functional.vm, 1,
+                               *functional.engine)
+                    .ok());
+    EXPECT_EQ(functional_tally.take(), kTwoChecksOneReverify)
+        << "functional stageDelta() + activate()";
 }
 
 } // namespace
