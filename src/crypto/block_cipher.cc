@@ -32,12 +32,14 @@ ecbDecrypt(const BlockCipher &cipher, uint8_t *data, size_t len)
 }
 
 void
-generatePad(const BlockCipher &cipher, uint64_t seed, uint8_t *pad,
-            size_t len)
+padLines(const BlockCipher &cipher, size_t line_len, size_t lines,
+         const std::function<uint64_t(size_t)> &seed_of, uint8_t *out,
+         PadOutput mode)
 {
     const size_t bs = cipher.blockSize();
     panic_if(bs < 8, "pad generation needs a >= 64-bit block cipher");
-    panic_if(len % bs != 0, "pad length ", len, " not a multiple of ", bs);
+    panic_if(line_len % bs != 0, "pad length ", line_len,
+             " not a multiple of ", bs);
 
     // Per-block tweak: a plain "seed + i" counter would make the pads
     // of adjacent seeds shift-aligned copies of each other (pad block
@@ -45,24 +47,45 @@ generatePad(const BlockCipher &cipher, uint64_t seed, uint8_t *pad,
     // correlation the paper's Section 3.4 rules out. Multiplying the
     // block index by an odd constant before XORing makes alignment
     // between any two distinct seeds impossible.
-    constexpr uint64_t kBlockTweak = 0x9E3779B97F4A7C15ull;
-    // Stage the tweaked counter blocks for a whole chunk, then run
-    // one batched encrypt: the cipher's interleaved path overlaps
-    // what the one-block-per-call loop serialized.
-    uint8_t blocks[512];
-    panic_if(bs > sizeof(blocks), "unexpected block size ", bs);
-    const size_t chunk_blocks = sizeof(blocks) / bs;
-    uint64_t index = 0;
-    for (size_t off = 0; off < len;) {
-        const size_t n =
-            std::min(chunk_blocks, (len - off) / bs);
-        std::memset(blocks, 0, n * bs);
-        for (size_t b = 0; b < n; ++b, ++index)
-            util::storeBe64(blocks + b * bs,
-                            seed ^ (index * kBlockTweak));
-        cipher.encryptBlocks(blocks, pad + off, n);
+    alignas(32) uint8_t stage[kPadStageBytes];
+    panic_if(bs > sizeof(stage), "unexpected block size ", bs);
+    const size_t stage_blocks = sizeof(stage) / bs;
+    const size_t line_blocks = line_len / bs;
+    const size_t total = line_len * lines;
+
+    // The block cursor (line, index) runs across stage boundaries, so
+    // a line may span two stages and a stage may hold many lines.
+    size_t line = 0;
+    size_t index = 0;
+    uint64_t seed = lines > 0 ? seed_of(0) : 0;
+    for (size_t off = 0; off < total;) {
+        const size_t n = std::min(stage_blocks, (total - off) / bs);
+        if (bs > 8)
+            std::memset(stage, 0, n * bs);
+        for (size_t b = 0; b < n; ++b, ++index) {
+            if (index == line_blocks) {
+                index = 0;
+                seed = seed_of(++line);
+            }
+            util::storeBe64(stage + b * bs,
+                            seed ^ (index * kPadBlockTweak));
+        }
+        if (mode == PadOutput::Store) {
+            cipher.encryptBlocks(stage, out + off, n);
+        } else {
+            cipher.encryptBlocks(stage, stage, n);
+            xorPad(out + off, stage, n * bs);
+        }
         off += n * bs;
     }
+}
+
+void
+generatePad(const BlockCipher &cipher, uint64_t seed, uint8_t *pad,
+            size_t len)
+{
+    padLines(cipher, len, 1, [seed](size_t) { return seed; }, pad,
+             PadOutput::Store);
 }
 
 void
@@ -76,16 +99,8 @@ void
 otpTransform(const BlockCipher &cipher, uint64_t seed, uint8_t *data,
              size_t len)
 {
-    // Lines are the common unit here; avoid the heap for them.
-    uint8_t small[256];
-    if (len <= sizeof(small)) {
-        generatePad(cipher, seed, small, len);
-        xorPad(data, small, len);
-        return;
-    }
-    std::vector<uint8_t> pad(len);
-    generatePad(cipher, seed, pad.data(), len);
-    xorPad(data, pad.data(), len);
+    padLines(cipher, len, 1, [seed](size_t) { return seed; }, data,
+             PadOutput::Xor);
 }
 
 uint64_t

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -94,15 +95,22 @@ void ecbEncrypt(const BlockCipher &cipher, uint8_t *data, size_t len);
 void ecbDecrypt(const BlockCipher &cipher, uint8_t *data, size_t len);
 
 /**
+ * The odd constant C of generatePad()'s per-block tweak. It is part
+ * of the pad format: the vendor and the processor must agree on it.
+ */
+inline constexpr uint64_t kPadBlockTweak = 0x9E3779B97F4A7C15ull;
+
+/**
  * Generate a one-time pad of @p len bytes from a 64-bit seed.
  *
- * Pad block i is E_K(seed ^ (i * C)) for an odd mixing constant C
- * (the tweaked seed is encoded into the first 8 bytes of the cipher
- * input block; remaining input bytes, if the block is wider than 8
- * bytes, are zero). The multiplicative tweak guarantees the pads of
- * two different seeds are never shifted copies of each other, which
- * a plain "seed + i" counter would not (paper Section 3.4). @p len
- * must be a multiple of the cipher block size.
+ * Pad block i is E_K(seed ^ (i * C)) for C = kPadBlockTweak (the
+ * tweaked seed is encoded big-endian into the first 8 bytes of the
+ * cipher input block; remaining input bytes, if the block is wider
+ * than 8 bytes, are zero). The multiplicative tweak guarantees the
+ * pads of two different seeds are never shifted copies of each
+ * other, which a plain "seed + i" counter would not (paper
+ * Section 3.4). @p len must be a multiple of the cipher block size.
+ * The one-line case of padLines().
  */
 void generatePad(const BlockCipher &cipher, uint64_t seed,
                  uint8_t *pad, size_t len);
@@ -110,9 +118,40 @@ void generatePad(const BlockCipher &cipher, uint64_t seed,
 /** XOR @p len bytes of @p pad into @p data (OTP encrypt == decrypt). */
 void xorPad(uint8_t *data, const uint8_t *pad, size_t len);
 
-/** Convenience: OTP-transform data in place with a generated pad. */
+/**
+ * OTP-transform data in place with a generated pad; the one-line
+ * case of padLines().
+ */
 void otpTransform(const BlockCipher &cipher, uint64_t seed,
                   uint8_t *data, size_t len);
+
+/** What padLines() does with each pad byte. */
+enum class PadOutput
+{
+    /** Write the pad (generatePad()). */
+    Store,
+    /** XOR the pad into the bytes already there (otpTransform()). */
+    Xor,
+};
+
+/**
+ * The pads of @p lines consecutive lines of @p line_len bytes at
+ * @p out, line i under seed @p seed_of(i): byte for byte the pad
+ * generatePad() gives that line alone.
+ *
+ * The tweaked counter blocks of the whole run are staged through a
+ * fixed kPadStageBytes stack buffer, and each filled buffer is
+ * encrypted with one encryptBlocks() call, so a run of short lines
+ * reaches the cipher's bulk path (DES's bitsliced batches) while
+ * memory stays bounded whatever the run's length. @p line_len must
+ * be a multiple of the cipher block size.
+ */
+void padLines(const BlockCipher &cipher, size_t line_len, size_t lines,
+              const std::function<uint64_t(size_t)> &seed_of,
+              uint8_t *out, PadOutput mode);
+
+/** padLines()' staging buffer: two 256-block DES batches. */
+inline constexpr size_t kPadStageBytes = 4096;
 
 /** Count pairwise-identical ciphertext blocks (leak metric). */
 uint64_t countRepeatedBlocks(const uint8_t *data, size_t len,

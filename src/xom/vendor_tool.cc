@@ -38,6 +38,13 @@ vendorProtect(const PlainProgram &program, VendorScheme scheme,
     std::vector<uint8_t> symmetric_key(secure::cipherKeySize(cipher));
     rng.fillBytes(symmetric_key.data(), symmetric_key.size());
     const auto cipher_impl = secure::makeCipher(cipher, symmetric_key);
+    // Sections split into whole lines and lines into whole cipher
+    // blocks; alignUp() below rounds only to powers of two.
+    fatal_if(!util::isPowerOfTwo(line_size) ||
+                 line_size % cipher_impl->blockSize() != 0,
+             "line size ", line_size,
+             " must be a power of two and a multiple of the ",
+             cipher_impl->blockSize(), "-byte cipher block");
 
     for (const PlainProgram::PlainSection &plain : program.sections) {
         fatal_if(plain.vaddr % line_size != 0,
@@ -55,13 +62,14 @@ vendorProtect(const PlainProgram &program, VendorScheme scheme,
             section.encryption = SectionEncryption::Plaintext;
         } else if (scheme == VendorScheme::Otp) {
             section.encryption = SectionEncryption::OtpVaSeed;
-            for (uint64_t off = 0; off < section.bytes.size();
-                 off += line_size) {
-                crypto::otpTransform(
-                    *cipher_impl,
-                    vendorSeed(plain.vaddr + off, 0, line_size),
-                    section.bytes.data() + off, line_size);
-            }
+            crypto::padLines(
+                *cipher_impl, line_size,
+                section.bytes.size() / line_size,
+                [&](size_t line) {
+                    return vendorSeed(plain.vaddr + line * line_size, 0,
+                                      line_size);
+                },
+                section.bytes.data(), crypto::PadOutput::Xor);
         } else {
             section.encryption = SectionEncryption::Direct;
             crypto::ecbEncrypt(*cipher_impl, section.bytes.data(),

@@ -57,7 +57,8 @@ enum class VendorScheme
  * @param cipher Symmetric cipher family.
  * @param processor_key Target processor's public key.
  * @param rng Entropy for the symmetric key and capsule padding.
- * @param line_size Protection granularity (L2 line size).
+ * @param line_size Protection granularity (L2 line size): a power of
+ *        two and a multiple of the cipher's block size, else fatal.
  */
 ProgramImage vendorProtect(const PlainProgram &program,
                            VendorScheme scheme,

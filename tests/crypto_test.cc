@@ -19,6 +19,7 @@
 #include "crypto/rsa.hh"
 #include "crypto/sha.hh"
 #include "crypto/triple_des.hh"
+#include "util/bitops.hh"
 #include "util/random.hh"
 #include "util/strutil.hh"
 
@@ -159,6 +160,149 @@ TEST(TripleDes, RoundTripDistinctKeys)
     }
 }
 
+// ------------------------------------------------------ batched DES paths
+
+/** Block counts around every batch edge of the bitsliced kernel. */
+const size_t kBatchEdgeCounts[] = {0, 1, 255, 256, 257, 511, 512, 4097};
+
+/** The four DES weak keys: every round key equal, E_K = D_K. */
+const char *const kDesWeakKeys[] = {
+    "0101010101010101",
+    "fefefefefefefefe",
+    "e0e0e0e0f1f1f1f1",
+    "1f1f1f1f0e0e0e0e",
+};
+
+/** Known-answer keys, the weak keys and a few random ones. */
+std::vector<std::vector<uint8_t>>
+batchTestKeys()
+{
+    std::vector<std::vector<uint8_t>> keys;
+    for (const DesVector &vector : kDesVectors)
+        keys.push_back(fromHex(vector.key));
+    for (const char *weak : kDesWeakKeys)
+        keys.push_back(fromHex(weak));
+    Rng rng(0xB175);
+    for (int i = 0; i < 4; ++i) {
+        keys.emplace_back(8);
+        rng.fillBytes(keys.back().data(), 8);
+    }
+    return keys;
+}
+
+/**
+ * The bitsliced kernel against the 8-lane table path, on every batch
+ * edge, out of place and in place, in both directions. Skipped on
+ * hosts without AVX2, where nothing calls the kernel.
+ */
+TEST(DesBitsliced, MatchesTablePath)
+{
+    if (!detail::desCpuHasAvx2())
+        GTEST_SKIP() << "no AVX2 on this host";
+
+    Rng rng(0x51CE);
+    for (const std::vector<uint8_t> &key : batchTestKeys()) {
+        const Des des(key.data());
+        for (const size_t count : kBatchEdgeCounts) {
+            std::vector<uint8_t> in(8 * count);
+            rng.fillBytes(in.data(), in.size());
+            for (const bool decrypt : {false, true}) {
+                std::vector<uint8_t> want(in.size());
+                detail::desBlocksTable(des, in.data(), want.data(),
+                                       count, decrypt);
+                std::vector<uint8_t> got(in.size());
+                detail::desBlocksBitsliced(des, in.data(), got.data(),
+                                           count, decrypt);
+                ASSERT_EQ(got, want)
+                    << "key " << toHex(key.data(), 8) << " count "
+                    << count << (decrypt ? " decrypt" : " encrypt");
+                std::vector<uint8_t> in_place = in;
+                detail::desBlocksBitsliced(des, in_place.data(),
+                                           in_place.data(), count,
+                                           decrypt);
+                ASSERT_EQ(in_place, want)
+                    << "in place, key " << toHex(key.data(), 8)
+                    << " count " << count;
+            }
+        }
+    }
+}
+
+/**
+ * Every lane of a batch reproduces the published vectors, and under
+ * a weak key encryption undoes itself.
+ */
+TEST(DesBitsliced, KnownAnswersInEveryLane)
+{
+    if (!detail::desCpuHasAvx2())
+        GTEST_SKIP() << "no AVX2 on this host";
+
+    for (const DesVector &vector : kDesVectors) {
+        const Des des(fromHex(vector.key).data());
+        const std::vector<uint8_t> plain = fromHex(vector.plain);
+        std::vector<uint8_t> batch;
+        for (int lane = 0; lane < 256; ++lane)
+            batch.insert(batch.end(), plain.begin(), plain.end());
+        detail::desBlocksBitsliced(des, batch.data(), batch.data(), 256,
+                                   false);
+        for (int lane = 0; lane < 256; ++lane)
+            ASSERT_EQ(toHex(batch.data() + 8 * lane, 8), vector.cipher)
+                << "lane " << lane;
+    }
+
+    Rng rng(0x3EA7);
+    std::vector<uint8_t> in(8 * 512);
+    rng.fillBytes(in.data(), in.size());
+    for (const char *weak : kDesWeakKeys) {
+        const Des des(fromHex(weak).data());
+        std::vector<uint8_t> twice = in;
+        detail::desBlocksBitsliced(des, twice.data(), twice.data(), 512,
+                                   false);
+        EXPECT_NE(twice, in);
+        detail::desBlocksBitsliced(des, twice.data(), twice.data(), 512,
+                                   false);
+        EXPECT_EQ(twice, in) << "weak key " << weak;
+    }
+}
+
+/**
+ * The batched calls, whichever path this host dispatches to, give
+ * the bytes of one-block-at-a-time calls: single DES and 3DES, whose
+ * EDE stages run in place.
+ */
+TEST(DesBatches, MatchPerBlockCalls)
+{
+    Rng rng(0xBA7C);
+    uint8_t triple_key[24];
+    rng.fillBytes(triple_key, sizeof triple_key);
+    const TripleDes tdes(triple_key);
+    const Des des(triple_key);
+    for (const BlockCipher *cipher :
+         {static_cast<const BlockCipher *>(&des),
+          static_cast<const BlockCipher *>(&tdes)}) {
+        for (const size_t count : kBatchEdgeCounts) {
+            std::vector<uint8_t> in(8 * count);
+            rng.fillBytes(in.data(), in.size());
+            std::vector<uint8_t> want_enc(in.size());
+            std::vector<uint8_t> want_dec(in.size());
+            for (size_t i = 0; i < count; ++i) {
+                cipher->encryptBlock(in.data() + 8 * i,
+                                     want_enc.data() + 8 * i);
+                cipher->decryptBlock(in.data() + 8 * i,
+                                     want_dec.data() + 8 * i);
+            }
+            std::vector<uint8_t> enc(in.size());
+            cipher->encryptBlocks(in.data(), enc.data(), count);
+            EXPECT_EQ(enc, want_enc)
+                << cipher->name() << " count " << count;
+            std::vector<uint8_t> dec = in;
+            cipher->decryptBlocks(dec.data(), dec.data(), count);
+            EXPECT_EQ(dec, want_dec)
+                << cipher->name() << " in place, count " << count;
+        }
+    }
+}
+
 // -------------------------------------------------------------------- AES
 
 TEST(Aes128, Fips197AppendixC)
@@ -277,6 +421,76 @@ TEST(Modes, PadIsDeterministicPerSeed)
     generatePad(des, 77, pad1, sizeof(pad1));
     generatePad(des, 77, pad2, sizeof(pad2));
     EXPECT_EQ(std::memcmp(pad1, pad2, sizeof(pad1)), 0);
+}
+
+/**
+ * A pad run is the pads of its lines, one line at a time: the block
+ * cursor carries across staging chunks in both directions (lines
+ * shorter and longer than a chunk), for an 8-byte and a 16-byte
+ * block, in both output modes. The reference encrypts each tweaked
+ * counter block alone.
+ */
+TEST(Modes, PadRunMatchesPerLinePads)
+{
+    const Des des(uint64_t{0x0123456789ABCDEFull});
+    const Aes128 aes(fromHex("2b7e151628aed2a6abf7158809cf4f3c").data());
+    const auto seed_of = [](size_t line) {
+        return 0x400000ull + line * 0x1000001ull;
+    };
+    Rng rng(0x9AD5);
+    for (const BlockCipher *cipher :
+         {static_cast<const BlockCipher *>(&des),
+          static_cast<const BlockCipher *>(&aes)}) {
+        const size_t bs = cipher->blockSize();
+        for (const size_t line_len :
+             {bs, size_t{128}, size_t{1040}, kPadStageBytes + 2 * bs}) {
+            for (const size_t lines : {1, 3, 37}) {
+                std::vector<uint8_t> want(line_len * lines);
+                for (size_t line = 0; line < lines; ++line) {
+                    for (size_t b = 0; b < line_len / bs; ++b) {
+                        std::vector<uint8_t> block(bs, 0);
+                        secproc::util::storeBe64(
+                            block.data(),
+                            seed_of(line) ^ (b * kPadBlockTweak));
+                        cipher->encryptBlock(
+                            block.data(),
+                            want.data() + line * line_len + b * bs);
+                    }
+                }
+                const std::string where = cipher->name() + " line " +
+                                          std::to_string(line_len) +
+                                          " x " + std::to_string(lines);
+
+                std::vector<uint8_t> run(want.size());
+                padLines(*cipher, line_len, lines, seed_of, run.data(),
+                         PadOutput::Store);
+                EXPECT_EQ(run, want) << where;
+
+                std::vector<uint8_t> one_by_one(want.size());
+                for (size_t line = 0; line < lines; ++line) {
+                    generatePad(*cipher, seed_of(line),
+                                one_by_one.data() + line * line_len,
+                                line_len);
+                }
+                EXPECT_EQ(one_by_one, want) << where;
+
+                std::vector<uint8_t> data(want.size());
+                rng.fillBytes(data.data(), data.size());
+                std::vector<uint8_t> xored = data;
+                padLines(*cipher, line_len, lines, seed_of, xored.data(),
+                         PadOutput::Xor);
+                std::vector<uint8_t> transformed = data;
+                for (size_t line = 0; line < lines; ++line) {
+                    otpTransform(*cipher, seed_of(line),
+                                 transformed.data() + line * line_len,
+                                 line_len);
+                }
+                xorPad(data.data(), want.data(), data.size());
+                EXPECT_EQ(xored, data) << where;
+                EXPECT_EQ(transformed, data) << where;
+            }
+        }
+    }
 }
 
 // -------------------------------------------------------------------- SHA

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "crypto/rsa.hh"
+#include "crypto/sha.hh"
 #include "mem/main_memory.hh"
 #include "mem/virtual_memory.hh"
 #include "secure/engines.hh"
 #include "secure/integrity.hh"
 #include "secure/key_table.hh"
+#include "util/bitops.hh"
 #include "xom/attack_sim.hh"
 #include "xom/program_image.hh"
 #include "xom/secure_loader.hh"
@@ -254,6 +256,131 @@ TEST(Lifecycle, VendorSeedMatchesEngineSeed)
               (uint64_t{0x400000 / 128} << 24));
     EXPECT_EQ(vendorSeed(0x400000, 7, 128),
               (uint64_t{0x400000 / 128} << 24) | (7u << 8));
+}
+
+/** First eight bytes of SHA-256 over the serialized image. */
+uint64_t
+imageHash(const ProgramImage &image)
+{
+    const std::vector<uint8_t> bytes = image.serialize();
+    return util::loadBe64(
+        crypto::Sha256::digest(bytes.data(), bytes.size()).data());
+}
+
+/**
+ * Sections whose line counts straddle every batch edge of the
+ * vendor's pad staging: one line, a 4 KB page minus and plus one
+ * line, 2 MB plus three lines, and a ragged tail the vendor pads
+ * with zeros — each at its own vaddr.
+ */
+PlainProgram
+pinnedProgram(uint32_t line_size)
+{
+    util::Rng rng(0x7E57 + line_size);
+    PlainProgram program;
+    program.title = "pinned";
+    program.entry_point = 0x10000;
+    const std::pair<uint64_t, uint64_t> layout[] = {
+        {0x10000, line_size},
+        {0x20000, 4096 - line_size},
+        {0x40000, 4096 + line_size},
+        {0x1000000, (2u << 20) + 3 * line_size},
+        {0x3000000, 1000},
+    };
+    for (const auto &[vaddr, size] : layout) {
+        PlainProgram::PlainSection section;
+        section.name = ".s" + std::to_string(program.sections.size());
+        section.vaddr = vaddr;
+        section.bytes.resize(size);
+        rng.fillBytes(section.bytes.data(), section.bytes.size());
+        program.sections.push_back(std::move(section));
+    }
+    return program;
+}
+
+/**
+ * The vendor's ciphertext, byte for byte: every cipher, both
+ * schemes, both line sizes. Pad generation may be restructured
+ * freely, but these images are what devices already hold.
+ */
+TEST(VendorImage, BytesArePinned)
+{
+    util::Rng key_rng(0x9E7);
+    const crypto::RsaKeyPair processor =
+        crypto::rsaGenerate(384, key_rng);
+
+    struct Case
+    {
+        secure::CipherKind cipher;
+        VendorScheme scheme;
+        uint32_t line_size;
+        uint64_t want;
+    };
+    const Case cases[] = {
+        {secure::CipherKind::Des, VendorScheme::Otp, 64,
+         0xb8506a51b5636128},
+        {secure::CipherKind::Des, VendorScheme::Otp, 128,
+         0x0d55d5cca0c424e4},
+        {secure::CipherKind::Des, VendorScheme::Xom, 64,
+         0x72900d7c4d05c855},
+        {secure::CipherKind::Des, VendorScheme::Xom, 128,
+         0x4eab8007e344f383},
+        {secure::CipherKind::TripleDes, VendorScheme::Otp, 64,
+         0x5d5ce805aa754cc8},
+        {secure::CipherKind::TripleDes, VendorScheme::Otp, 128,
+         0x734c7aa85b7b6dcf},
+        {secure::CipherKind::TripleDes, VendorScheme::Xom, 64,
+         0x1727bb660aa68a96},
+        {secure::CipherKind::TripleDes, VendorScheme::Xom, 128,
+         0x5d4bac141d7651c1},
+        {secure::CipherKind::Aes128, VendorScheme::Otp, 64,
+         0x22298c2214d40012},
+        {secure::CipherKind::Aes128, VendorScheme::Otp, 128,
+         0x58a43e9f1ddb0c43},
+        {secure::CipherKind::Aes128, VendorScheme::Xom, 64,
+         0x18f804db4212ace5},
+        {secure::CipherKind::Aes128, VendorScheme::Xom, 128,
+         0x9165d8a96ec4ab84},
+    };
+    for (const Case &c : cases) {
+        util::Rng rng(0x5EC7 + c.line_size);
+        const ProgramImage image =
+            vendorProtect(pinnedProgram(c.line_size), c.scheme,
+                          c.cipher, processor.pub, rng, c.line_size);
+        EXPECT_EQ(imageHash(image), c.want)
+            << "cipher " << static_cast<int>(c.cipher) << " "
+            << (c.scheme == VendorScheme::Otp ? "Otp" : "Xom")
+            << " line " << c.line_size << std::hex << " got 0x"
+            << imageHash(image);
+    }
+}
+
+/**
+ * A line size the pad arithmetic cannot split evenly is refused at
+ * entry: not a power of two (alignUp() would leave a 96-byte line
+ * hanging past its section's end), zero (a divide by zero), or
+ * narrower than the cipher block (8 bytes under AES-128).
+ */
+TEST(VendorImageDeathTest, RejectsUnusableLineSizes)
+{
+    util::Rng key_rng(0x9E7);
+    const crypto::RsaKeyPair processor =
+        crypto::rsaGenerate(384, key_rng);
+    PlainProgram program;
+    program.sections.push_back({".text", 0, std::vector<uint8_t>(1024),
+                                false});
+    const auto protect = [&](secure::CipherKind cipher,
+                             uint32_t line_size) {
+        util::Rng rng(1);
+        (void)vendorProtect(program, VendorScheme::Otp, cipher,
+                            processor.pub, rng, line_size);
+    };
+    EXPECT_DEATH_IF_SUPPORTED(protect(secure::CipherKind::Des, 96),
+                              "line size 96");
+    EXPECT_DEATH_IF_SUPPORTED(protect(secure::CipherKind::Des, 0),
+                              "line size 0");
+    EXPECT_DEATH_IF_SUPPORTED(protect(secure::CipherKind::Aes128, 8),
+                              "line size 8");
 }
 
 // ----------------------------------------------------------------- attacks
