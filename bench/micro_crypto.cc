@@ -117,18 +117,39 @@ benchHmacLine(benchmark::State &state)
     }
 }
 
+/**
+ * base^exp mod an odd modulus (the Montgomery path RSA runs). Args:
+ * modulus bits, exponent bits. A 17-bit exponent is verify-shaped;
+ * a full-length one is a Miller-Rabin witness round of key
+ * generation (256 bits: the primes of a 512-bit key).
+ */
 void
 benchBigIntModExp(benchmark::State &state)
 {
     util::Rng rng(3);
     const auto bits = static_cast<unsigned>(state.range(0));
-    const crypto::BigInt m = crypto::BigInt::randomBits(bits, rng);
+    crypto::BigInt m = crypto::BigInt::randomBits(bits, rng);
+    if (!m.isOdd())
+        m = m + crypto::BigInt(1);
     const crypto::BigInt base = crypto::BigInt::randomBits(bits - 1,
                                                            rng);
-    const crypto::BigInt exp = crypto::BigInt::randomBits(17, rng);
+    const crypto::BigInt exp = crypto::BigInt::randomBits(
+        static_cast<unsigned>(state.range(1)), rng);
     for (auto _ : state) {
         auto r = base.modExp(exp, m);
         benchmark::DoNotOptimize(r);
+    }
+}
+
+/** One 512-bit key pair from a fixed seed: the same candidates,
+ *  witness rounds and draws every iteration. */
+void
+benchRsaGenerate(benchmark::State &state)
+{
+    for (auto _ : state) {
+        util::Rng rng(0x5EC0A7A);
+        auto pair = crypto::rsaGenerate(512, rng);
+        benchmark::DoNotOptimize(pair);
     }
 }
 
@@ -152,8 +173,12 @@ BENCHMARK(benchPadGeneration)->Arg(128)->Arg(4096);
 BENCHMARK(benchLineEcb);
 BENCHMARK(benchSha256)->Arg(128)->Arg(4096);
 BENCHMARK(benchHmacLine);
-BENCHMARK(benchBigIntModExp)->Arg(256)->Arg(512);
+BENCHMARK(benchBigIntModExp)
+    ->Args({256, 17})
+    ->Args({512, 17})
+    ->Args({256, 256});
 BENCHMARK(benchRsaUnwrap);
+BENCHMARK(benchRsaGenerate)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

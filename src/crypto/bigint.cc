@@ -4,8 +4,11 @@
  *
  * Multiplication dispatches between a schoolbook inner loop and
  * Karatsuba recursion; division is Knuth Algorithm D (TAOCP vol. 2,
- * 4.3.1) over 64-bit limbs; modular exponentiation uses CIOS
- * Montgomery multiplication with a 4-bit window for odd moduli. The
+ * 4.3.1) over 64-bit limbs; modular exponentiation for odd moduli
+ * runs a 4-bit window over one CIOS Montgomery kernel on raw k-limb
+ * arrays (montMul<K>: constant widths up to kMaxConstantWidth, a
+ * run-time width above), and key generation's Miller-Rabin rounds
+ * run on the same kernel without leaving the Montgomery domain. The
  * pre-optimization algorithms survive as the *Schoolbook reference
  * methods used by the differential tests and the rsa_throughput
  * bench's "schoolbook" engine.
@@ -15,6 +18,8 @@
 
 #include <algorithm>
 #include <array>
+#include <iterator>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -199,6 +204,58 @@ inverse64(uint64_t x)
     return inv;
 }
 
+/**
+ * The odd primes up to 113, in three runs whose products fit in 64
+ * bits: trial division takes one residue per run instead of one
+ * BigInt division per prime.
+ */
+constexpr uint64_t kOddSmallPrimes[] = {
+    3,  5,  7,  11, 13, 17, 19,  23,  29,  31,  37,  41,  43,  47, 53,
+    59, 61, 67, 71, 73, 79, 83,  89,  97,  101,
+    103, 107, 109, 113,
+};
+constexpr size_t kPrimeRunEnds[] = {15, 25, 29};
+
+/** Each run's product, kept 128 bits wide for the check below. */
+constexpr auto kPrimeRunProducts = [] {
+    std::array<__uint128_t, std::size(kPrimeRunEnds)> products{};
+    size_t begin = 0;
+    for (size_t run = 0; run < products.size(); ++run) {
+        products[run] = 1;
+        for (size_t i = begin; i < kPrimeRunEnds[run]; ++i)
+            products[run] *= kOddSmallPrimes[i];
+        begin = kPrimeRunEnds[run];
+    }
+    return products;
+}();
+static_assert(std::all_of(kPrimeRunProducts.begin(),
+                          kPrimeRunProducts.end(),
+                          [](__uint128_t p) { return p >> 64 == 0; }),
+              "each prime run's product must fit in a limb");
+
+/** Whether an odd prime <= 113 divides the value of @p limbs. */
+bool
+hasSmallOddFactor(const Limbs &limbs)
+{
+    size_t begin = 0;
+    for (size_t run = 0; run < std::size(kPrimeRunEnds); ++run) {
+        const auto product =
+            static_cast<uint64_t>(kPrimeRunProducts[run]);
+        uint64_t rem = 0; // the value mod product, top limb first
+        for (size_t i = limbs.size(); i-- > 0;) {
+            rem = static_cast<uint64_t>(
+                ((static_cast<__uint128_t>(rem) << 64) | limbs[i]) %
+                product);
+        }
+        for (size_t i = begin; i < kPrimeRunEnds[run]; ++i) {
+            if (rem % kOddSmallPrimes[i] == 0)
+                return true;
+        }
+        begin = kPrimeRunEnds[run];
+    }
+    return false;
+}
+
 } // namespace
 
 BigInt::BigInt(uint64_t v)
@@ -235,9 +292,14 @@ BigInt::fromHex(const std::string &hex)
 BigInt
 BigInt::fromBytes(const uint8_t *data, size_t len)
 {
+    // data[len - 1 - i] is byte i of the value: limb i / 8.
     BigInt out;
-    for (size_t i = 0; i < len; ++i)
-        out = (out << 8) + BigInt(data[i]);
+    out.limbs_.assign((len + 7) / 8, 0);
+    for (size_t i = 0; i < len; ++i) {
+        out.limbs_[i / 8] |= uint64_t{data[len - 1 - i]}
+                             << (8 * (i % 8));
+    }
+    out.trim();
     return out;
 }
 
@@ -569,119 +631,144 @@ BigInt::divmodSchoolbook(const BigInt &div) const
 
 // --------------------------------------------------------- MontgomeryCtx
 
-MontgomeryCtx::MontgomeryCtx(const BigInt &modulus) : n_(modulus)
+namespace
 {
-    panic_if(!modulus.isOdd() || modulus <= BigInt(1),
-             "MontgomeryCtx modulus must be odd and > 1");
-    k_ = n_.limbs_.size();
-    n0inv_ = ~inverse64(n_.limbs_[0]) + 1; // -n^{-1} mod 2^64
-    rr_ = (BigInt(1) << static_cast<unsigned>(128 * k_)) % n_;
-    one_ = toMont(BigInt(1));
-}
 
-MontgomeryCtx::Limbs
-MontgomeryCtx::montMul(const Limbs &a, const Limbs &b) const
+/** What the kernel reads of a MontgomeryCtx. */
+struct MontModulus
 {
-    // CIOS: interleave the multiply pass with the reduction pass so
-    // the accumulator never exceeds k+2 limbs.
-    const Limbs &nl = n_.limbs_;
-    Limbs t(k_ + 2, 0);
-    for (size_t i = 0; i < k_; ++i) {
-        const uint64_t ai = i < a.size() ? a[i] : 0;
+    const uint64_t *n; ///< k limbs, little-endian
+    uint64_t n0inv;    ///< -n^{-1} mod 2^64
+    size_t k;          ///< limb count of n
+};
+
+/**
+ * The one Montgomery kernel: out = a * b * R^{-1} mod n over k-limb
+ * arrays by CIOS, for a < R and b < n, so the result is canonical
+ * (< n). out may alias a or b; it is written only after the last
+ * operand read. K > 0 fixes the width at compile time, so the loops
+ * unroll and the accumulator can live in registers; K == 0 runs the
+ * same body at the run-time width m.k on the (k + 2)-limb
+ * accumulator @p wide_t.
+ */
+template <size_t K>
+inline void
+montMul(uint64_t *out, const uint64_t *a, const uint64_t *b,
+        const MontModulus &m, uint64_t *wide_t)
+{
+    const size_t k = K != 0 ? K : m.k;
+    uint64_t fixed_t[K + 2] = {};
+    uint64_t *const t = K != 0 ? fixed_t : wide_t;
+    if (K == 0)
+        std::fill_n(wide_t, k + 2, uint64_t{0});
+
+    // Interleave the multiply pass with the reduction pass so the
+    // accumulator never exceeds k + 2 limbs.
+    for (size_t i = 0; i < k; ++i) {
         uint64_t carry = 0;
-        for (size_t j = 0; j < k_; ++j) {
+        for (size_t j = 0; j < k; ++j) {
             const __uint128_t sum =
-                static_cast<__uint128_t>(ai) *
-                    (j < b.size() ? b[j] : 0) +
-                t[j] + carry;
+                static_cast<__uint128_t>(a[i]) * b[j] + t[j] + carry;
             t[j] = static_cast<uint64_t>(sum);
             carry = static_cast<uint64_t>(sum >> 64);
         }
-        __uint128_t top = static_cast<__uint128_t>(t[k_]) + carry;
-        t[k_] = static_cast<uint64_t>(top);
-        t[k_ + 1] = static_cast<uint64_t>(top >> 64);
+        __uint128_t top = static_cast<__uint128_t>(t[k]) + carry;
+        t[k] = static_cast<uint64_t>(top);
+        t[k + 1] = static_cast<uint64_t>(top >> 64);
 
-        const uint64_t mfactor = t[0] * n0inv_;
+        const uint64_t mfactor = t[0] * m.n0inv;
         __uint128_t sum =
-            static_cast<__uint128_t>(mfactor) * nl[0] + t[0];
+            static_cast<__uint128_t>(mfactor) * m.n[0] + t[0];
         carry = static_cast<uint64_t>(sum >> 64);
-        for (size_t j = 1; j < k_; ++j) {
-            sum = static_cast<__uint128_t>(mfactor) * nl[j] + t[j] +
+        for (size_t j = 1; j < k; ++j) {
+            sum = static_cast<__uint128_t>(mfactor) * m.n[j] + t[j] +
                   carry;
             t[j - 1] = static_cast<uint64_t>(sum);
             carry = static_cast<uint64_t>(sum >> 64);
         }
-        top = static_cast<__uint128_t>(t[k_]) + carry;
-        t[k_ - 1] = static_cast<uint64_t>(top);
-        t[k_] = t[k_ + 1] + static_cast<uint64_t>(top >> 64);
+        top = static_cast<__uint128_t>(t[k]) + carry;
+        t[k - 1] = static_cast<uint64_t>(top);
+        t[k] = t[k + 1] + static_cast<uint64_t>(top >> 64);
     }
 
-    t.pop_back(); // t[k_+1] is spent; result is t[0 .. k_]
-    trimLimbs(t);
-    if (compareLimbs(t, nl) >= 0)
-        subInPlace(t, nl);
-    return t;
+    // t[0 .. k] < 2n: one conditional subtract of n makes it < n.
+    uint64_t borrow = 0;
+    for (size_t j = 0; j < k; ++j) {
+        const uint64_t mid = t[j] - m.n[j];
+        const uint64_t next_borrow = (t[j] < m.n[j]) || (mid < borrow);
+        out[j] = mid - borrow;
+        borrow = next_borrow;
+    }
+    if (t[k] == 0 && borrow != 0) // t < n: keep t
+        std::copy_n(t, k, out);
 }
-
-BigInt
-MontgomeryCtx::toMont(const BigInt &x) const
-{
-    const BigInt reduced = x >= n_ ? x % n_ : x;
-    BigInt out;
-    out.limbs_ = montMul(reduced.limbs_, rr_.limbs_);
-    return out;
-}
-
-BigInt
-MontgomeryCtx::fromMont(const BigInt &x) const
-{
-    BigInt out;
-    out.limbs_ = montMul(x.limbs_, Limbs{1});
-    return out;
-}
-
-BigInt
-MontgomeryCtx::mul(const BigInt &a, const BigInt &b) const
-{
-    BigInt out;
-    out.limbs_ = montMul(a.limbs_, b.limbs_);
-    return out;
-}
-
-namespace
-{
 
 /**
- * Left-to-right exponentiation over an abstract multiply (shared by
- * the Montgomery and even-modulus paths): plain square-and-multiply
- * for short exponents, where building the window table would
- * dominate (RSA's e = 65537 public exponent is the important case),
- * 4-bit fixed window otherwise. @p base is the base in mul's domain,
- * @p one the domain's multiplicative identity; @p exp must be
- * non-zero.
+ * Widths up to this many limbs compile as constants. Measured on
+ * x86-64 with g++ 12 (best of six, full-length exponents), a constant
+ * width ran modExp 1.55-2.7x faster than the run-time loop at 1-4
+ * limbs (the primes of keys up to 512 bits), 1.2-1.6x at 5-8 (the
+ * 512-bit modulus, the primes of 1024-bit keys) and no faster at 16.
  */
-template <typename MulFn>
-BigInt
-expLeftToRight(const BigInt &base, const BigInt &exp,
-               const BigInt &one, const MulFn &mul)
+constexpr size_t kMaxConstantWidth = 8;
+
+/**
+ * fn(std::integral_constant<size_t, K>{}) with the kernel width for
+ * a k-limb modulus: K = k up to kMaxConstantWidth, K = 0 (run-time
+ * width) above it.
+ */
+template <size_t K = kMaxConstantWidth, typename Fn>
+decltype(auto)
+withKernelWidth(size_t k, const Fn &fn)
+{
+    if constexpr (K == 0) {
+        return fn(std::integral_constant<size_t, 0>{});
+    } else {
+        if (k == K)
+            return fn(std::integral_constant<size_t, K>{});
+        return withKernelWidth<K - 1>(k, fn);
+    }
+}
+
+/** @p x zero-padded into the k-limb array @p dst. */
+void
+loadLimbs(uint64_t *dst, const Limbs &x, size_t k)
+{
+    panic_if(x.size() > k, "Montgomery operand wider than its modulus");
+    std::fill(std::copy(x.begin(), x.end(), dst), dst + k, uint64_t{0});
+}
+
+/**
+ * Left-to-right exponentiation, shared by the Montgomery and
+ * even-modulus paths: plain square-and-multiply for short exponents,
+ * where filling the window table would dominate (RSA's e = 65537
+ * public exponent is the important case), 4-bit fixed window
+ * otherwise. Elem is the element storage (a BigInt, or a pointer to
+ * k limbs). On entry @p table[1] holds the base in mul's domain and
+ * table[2..15] are free storage (table[0] is never read: a zero
+ * window skips its multiply and the top window is non-zero); on
+ * return @p acc holds base^exp. mul(out, a, b) may overwrite a or b,
+ * copy(dst, src) assigns. @p exp must be non-zero.
+ */
+template <typename Elem, typename MulFn, typename CopyFn>
+void
+expLeftToRight(const BigInt &exp, std::array<Elem, 16> &table,
+               Elem &acc, const MulFn &mul, const CopyFn &copy)
 {
     const unsigned bits = exp.bitLength();
     if (bits <= 32) {
-        BigInt acc = base; // consumes the top bit
+        copy(acc, table[1]); // consumes the top bit
         for (unsigned i = bits - 1; i-- > 0;) {
-            acc = mul(acc, acc);
+            mul(acc, acc, acc);
             if (exp.bit(i))
-                acc = mul(acc, base);
+                mul(acc, acc, table[1]);
         }
-        return acc;
+        return;
     }
 
     // table[i] = base^i in mul's domain.
-    std::array<BigInt, 16> table;
-    table[0] = one;
-    table[1] = base;
     for (size_t i = 2; i < table.size(); ++i)
-        table[i] = mul(table[i - 1], table[1]);
+        mul(table[i], table[i - 1], table[1]);
 
     const auto window = [&exp](unsigned w) {
         unsigned value = 0;
@@ -691,28 +778,128 @@ expLeftToRight(const BigInt &base, const BigInt &exp,
     };
 
     unsigned w = (bits - 1) / 4;
-    BigInt acc = table[window(w)]; // top window is non-zero
+    copy(acc, table[window(w)]); // top window is non-zero
     while (w-- > 0) {
         for (int s = 0; s < 4; ++s)
-            acc = mul(acc, acc);
+            mul(acc, acc, acc);
         const unsigned value = window(w);
         if (value != 0)
-            acc = mul(acc, table[value]);
+            mul(acc, acc, table[value]);
     }
-    return acc;
+}
+
+/** Scratch limbs montPow needs at width k: the run-time kernel's
+ *  accumulator, then table[1..15]. */
+constexpr size_t
+powScratchLimbs(size_t k)
+{
+    return (k + 2) + 15 * k;
+}
+
+/**
+ * x = x^exp within the Montgomery domain: @p x is k limbs, < n;
+ * @p exp is non-zero; @p scratch holds powScratchLimbs(k) limbs.
+ */
+template <size_t K>
+void
+montPow(uint64_t *x, const BigInt &exp, const MontModulus &m,
+        uint64_t *scratch)
+{
+    const size_t k = K != 0 ? K : m.k;
+    std::array<uint64_t *, 16> table{};
+    for (size_t i = 1; i < table.size(); ++i)
+        table[i] = scratch + (k + 2) + (i - 1) * k;
+    std::copy_n(x, k, table[1]);
+    expLeftToRight(
+        exp, table, x,
+        [&m, scratch](uint64_t *out, const uint64_t *a,
+                      const uint64_t *b) {
+            montMul<K>(out, a, b, m, scratch);
+        },
+        [k](uint64_t *dst, const uint64_t *src) {
+            std::copy_n(src, k, dst);
+        });
 }
 
 } // namespace
+
+MontgomeryCtx::MontgomeryCtx(const BigInt &modulus) : n_(modulus)
+{
+    panic_if(!modulus.isOdd() || modulus <= BigInt(1),
+             "MontgomeryCtx modulus must be odd and > 1");
+    k_ = n_.limbs_.size();
+    n0inv_ = ~inverse64(n_.limbs_[0]) + 1; // -n^{-1} mod 2^64
+    const auto r_bits = static_cast<unsigned>(64 * k_);
+    rr_ = ((BigInt(1) << (2 * r_bits)) % n_).limbs_;
+    rr_.resize(k_);
+    one_ = ((BigInt(1) << r_bits) % n_).limbs_;
+    one_.resize(k_);
+}
+
+BigInt
+MontgomeryCtx::product(const Limbs &a, const Limbs &b) const
+{
+    // One scratch buffer: a (overwritten by the product), b, and the
+    // run-time kernel's accumulator.
+    Limbs buf(3 * k_ + 2);
+    uint64_t *const x = buf.data();
+    loadLimbs(x, a, k_);
+    loadLimbs(x + k_, b, k_);
+    const MontModulus m{n_.limbs_.data(), n0inv_, k_};
+    withKernelWidth(k_, [&](auto width) {
+        montMul<decltype(width)::value>(x, x, x + k_, m, x + 2 * k_);
+    });
+    BigInt out;
+    out.limbs_.assign(x, x + k_);
+    out.trim();
+    return out;
+}
+
+BigInt
+MontgomeryCtx::toMont(const BigInt &x) const
+{
+    const BigInt reduced = x >= n_ ? x % n_ : x;
+    return product(reduced.limbs_, rr_);
+}
+
+BigInt
+MontgomeryCtx::fromMont(const BigInt &x) const
+{
+    return product(x.limbs_, Limbs{1});
+}
+
+BigInt
+MontgomeryCtx::mul(const BigInt &a, const BigInt &b) const
+{
+    return product(a.limbs_, b.limbs_);
+}
 
 BigInt
 MontgomeryCtx::modExp(const BigInt &base, const BigInt &exp) const
 {
     if (exp.isZero())
         return BigInt(1); // n > 1, so 1 mod n == 1
-    const BigInt acc = expLeftToRight(
-        toMont(base), exp, one_,
-        [this](const BigInt &a, const BigInt &b) { return mul(a, b); });
-    return fromMont(acc);
+    const BigInt reduced = base >= n_ ? base % n_ : base;
+
+    // One scratch buffer: x, then montPow's scratch.
+    Limbs buf(k_ + powScratchLimbs(k_));
+    uint64_t *const x = buf.data();
+    uint64_t *const scratch = x + k_;
+    loadLimbs(x, reduced.limbs_, k_);
+    const MontModulus m{n_.limbs_.data(), n0inv_, k_};
+    withKernelWidth(k_, [&](auto width) {
+        constexpr size_t K = decltype(width)::value;
+        montMul<K>(x, x, rr_.data(), m, scratch); // into the domain
+        montPow<K>(x, exp, m, scratch);
+        uint64_t *const unit = scratch + k_ + 2; // a spent table slot
+        std::fill_n(unit, k_, uint64_t{0});
+        unit[0] = 1;
+        montMul<K>(x, x, unit, m, scratch); // out of the domain
+    });
+    BigInt out;
+    out.limbs_.assign(x, x + k_);
+    out.trim();
+    return out;
 }
 
 // ---------------------------------------------------------------- modExp
@@ -726,13 +913,20 @@ BigInt::modExp(const BigInt &exp, const BigInt &m) const
     if (m.isOdd())
         return MontgomeryCtx(m).modExp(*this, exp);
 
-    // Even modulus (never hit by RSA): same exponentiation ladder
-    // with division-based reduction.
+    // Even modulus (never hit by RSA): the same ladder with
+    // division-based reduction.
     if (exp.isZero())
         return BigInt(1);
-    return expLeftToRight(
-        *this % m, exp, BigInt(1),
-        [&m](const BigInt &a, const BigInt &b) { return (a * b) % m; });
+    std::array<BigInt, 16> table;
+    table[1] = *this % m;
+    BigInt acc;
+    expLeftToRight(
+        exp, table, acc,
+        [&m](BigInt &out, const BigInt &a, const BigInt &b) {
+            out = (a * b) % m;
+        },
+        [](BigInt &dst, const BigInt &src) { dst = src; });
+    return acc;
 }
 
 BigInt
@@ -809,23 +1003,20 @@ BigInt::gcd(BigInt a, BigInt b)
 bool
 BigInt::isProbablePrime(util::Rng &rng, int rounds) const
 {
-    static const uint64_t small_primes[] = {
-        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-        59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-    };
-    if (limbs_.size() == 1) {
-        for (uint64_t p : small_primes)
-            if (limbs_[0] == p)
-                return true;
+    fatal_if(rounds < 1,
+             "isProbablePrime needs at least one witness round, got ",
+             rounds);
+    if (limbs_.size() == 1 &&
+        (limbs_[0] == 2 || std::find(std::begin(kOddSmallPrimes),
+                                     std::end(kOddSmallPrimes),
+                                     limbs_[0]) !=
+                               std::end(kOddSmallPrimes))) {
+        return true;
     }
     // 0 and 1 are not prime (and 1 would make n-1 = 0 loop forever
     // in the d-extraction below); even numbers are composite.
-    if (*this <= BigInt(1) || !isOdd())
+    if (*this <= BigInt(1) || !isOdd() || hasSmallOddFactor(limbs_))
         return false;
-    for (uint64_t p : small_primes) {
-        if ((*this % BigInt(p)).isZero())
-            return false;
-    }
 
     // Write n-1 = d * 2^r.
     const BigInt n_minus_1 = *this - BigInt(1);
@@ -836,31 +1027,44 @@ BigInt::isProbablePrime(util::Rng &rng, int rounds) const
         ++r;
     }
 
-    // The candidate is odd and > 113 here, so the witness loop can
-    // run entirely in the Montgomery domain (squarings compare
-    // against the Montgomery form of n-1; the map is a bijection).
+    // The candidate is odd and > 113 here, so the witness loop runs
+    // entirely in the Montgomery domain. The map is a bijection onto
+    // canonical residues, so x == 1 and x == n-1 are compares against
+    // R mod n and (n-1)R mod n = n - (R mod n).
     const MontgomeryCtx ctx(*this);
-    const BigInt minus_one_m = ctx.toMont(n_minus_1);
+    const size_t k = ctx.k_;
+    Limbs minus_one = limbs_;
+    subInPlace(minus_one, ctx.one_);
+    minus_one.resize(k);
+    const auto equals = [k](const uint64_t *x, const Limbs &y) {
+        return std::equal(x, x + k, y.begin());
+    };
 
+    // One scratch buffer: the witness x, then montPow's scratch.
+    Limbs buf(k + powScratchLimbs(k));
+    uint64_t *const x = buf.data();
+    uint64_t *const scratch = x + k;
+    const MontModulus m{limbs_.data(), ctx.n0inv_, k};
     const BigInt n_minus_3 = *this - BigInt(3);
-    for (int round = 0; round < rounds; ++round) {
-        const BigInt a = BigInt(2) + randomBelow(n_minus_3, rng);
-        const BigInt x = ctx.modExp(a, d);
-        if (x == BigInt(1) || x == n_minus_1)
-            continue;
-        BigInt xm = ctx.toMont(x);
-        bool witness = true;
-        for (unsigned i = 1; i < r; ++i) {
-            xm = ctx.mul(xm, xm);
-            if (xm == minus_one_m) {
-                witness = false;
-                break;
+    return withKernelWidth(k, [&](auto width) {
+        constexpr size_t K = decltype(width)::value;
+        for (int round = 0; round < rounds; ++round) {
+            const BigInt a = BigInt(2) + randomBelow(n_minus_3, rng);
+            loadLimbs(x, a.limbs_, k);
+            montMul<K>(x, x, ctx.rr_.data(), m, scratch);
+            montPow<K>(x, d, m, scratch);
+            if (equals(x, ctx.one_) || equals(x, minus_one))
+                continue;
+            bool witness = true;
+            for (unsigned i = 1; i < r && witness; ++i) {
+                montMul<K>(x, x, x, m, scratch);
+                witness = !equals(x, minus_one);
             }
+            if (witness)
+                return false;
         }
-        if (witness)
-            return false;
-    }
-    return true;
+        return true;
+    });
 }
 
 BigInt

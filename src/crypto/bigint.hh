@@ -8,11 +8,12 @@
  *
  * The hot paths are tuned for RSA-sized operands: multiplication
  * switches to Karatsuba above kKaratsubaThresholdLimbs, division is
- * limb-based Knuth Algorithm D, and modExp runs 4-bit-windowed CIOS
- * Montgomery multiplication for odd moduli (see MontgomeryCtx). The
- * pre-optimization schoolbook/binary algorithms are retained as
- * *Schoolbook reference methods so differential tests can prove the
- * fast paths bit-identical.
+ * limb-based Knuth Algorithm D, and modExp runs a 4-bit window over
+ * one fixed-width CIOS Montgomery kernel for odd moduli (see
+ * MontgomeryCtx), as do the Miller-Rabin witness rounds of key
+ * generation. The pre-optimization schoolbook/binary algorithms are
+ * retained as *Schoolbook reference methods so differential tests can
+ * prove the fast paths bit-identical.
  */
 
 #ifndef SECPROC_CRYPTO_BIGINT_HH
@@ -119,7 +120,11 @@ class BigInt
     /** Greatest common divisor. */
     static BigInt gcd(BigInt a, BigInt b);
 
-    /** Miller-Rabin probabilistic primality test. */
+    /**
+     * Miller-Rabin probabilistic primality test: trial division by
+     * the primes up to 113, then @p rounds random witnesses (fatal
+     * unless rounds >= 1). Each round draws one randomBelow value.
+     */
     bool isProbablePrime(util::Rng &rng, int rounds = 24) const;
 
     /** Random prime with exactly @p bits bits. */
@@ -151,10 +156,15 @@ class BigInt
 
 /**
  * Precomputed Montgomery-multiplication context for one odd modulus
- * n > 1: n' = -n^{-1} mod 2^64 and R^2 mod n for R = 2^(64k), where
- * k is the limb count of n. Montgomery products use the CIOS
- * (coarsely integrated operand scanning) method, so a modular
- * multiplication costs two limb-level passes and no division.
+ * n > 1 of k limbs: n' = -n^{-1} mod 2^64, R^2 mod n and R mod n for
+ * R = 2^(64k), each as a k-limb array. Every product runs one CIOS
+ * (coarsely integrated operand scanning) kernel over fixed-width limb
+ * buffers: two limb-level passes, one conditional subtract, no
+ * division. Widths up to 8 limbs (every prime of keys up to 1024
+ * bits, and the 512-bit modulus) compile with constant loop bounds;
+ * wider moduli run the same kernel at a run-time width. Each call
+ * takes one BigInt in per operand and gives one out; modExp and the
+ * Miller-Rabin rounds stay on limb buffers in between.
  *
  * RSA keys cache one of these per modulus (RsaPublicKey::montCtx())
  * so sign/verify/attest reuse the precomputation. A context is
@@ -171,12 +181,13 @@ class MontgomeryCtx
     /** x * R mod n (enters the Montgomery domain; x reduced first). */
     BigInt toMont(const BigInt &x) const;
 
-    /** x * R^{-1} mod n (leaves the Montgomery domain). */
+    /** x * R^{-1} mod n (leaves the Montgomery domain); x < R. */
     BigInt fromMont(const BigInt &x) const;
 
     /**
-     * Montgomery product a * b * R^{-1} mod n. Operands must be in
-     * the Montgomery domain (and < n) for a domain result.
+     * Montgomery product a * b * R^{-1} mod n for a < R and b < n;
+     * panics if an operand has more limbs than n. Operands in the
+     * Montgomery domain give a domain result.
      */
     BigInt mul(const BigInt &a, const BigInt &b) const;
 
@@ -187,14 +198,16 @@ class MontgomeryCtx
     BigInt modExp(const BigInt &base, const BigInt &exp) const;
 
   private:
+    friend class BigInt; // isProbablePrime's witness rounds
+
     using Limbs = std::vector<uint64_t>;
 
-    /** CIOS core over k-limb little-endian vectors. */
-    Limbs montMul(const Limbs &a, const Limbs &b) const;
+    /** One kernel product of @p a and @p b (each at most k limbs). */
+    BigInt product(const Limbs &a, const Limbs &b) const;
 
     BigInt n_;
-    BigInt rr_;     ///< R^2 mod n
-    BigInt one_;    ///< R mod n (the Montgomery form of 1)
+    Limbs rr_;           ///< R^2 mod n, k limbs
+    Limbs one_;          ///< R mod n (the Montgomery form of 1), k limbs
     uint64_t n0inv_ = 0; ///< -n^{-1} mod 2^64
     size_t k_ = 0;       ///< limb count of n
 };

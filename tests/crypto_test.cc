@@ -988,6 +988,188 @@ TEST(BigIntDeath, ExplicitFailureModes)
     EXPECT_DEATH_IF_SUPPORTED(MontgomeryCtx(BigInt(1)), "odd");
 }
 
+TEST(BigIntDeath, PrimalityNeedsAWitnessRound)
+{
+    // 127 * 131 has no factor up to 113, so only a witness round can
+    // tell it from a prime; with none it must not answer at all.
+    Rng rng(49);
+    const BigInt n(127 * 131);
+    EXPECT_DEATH_IF_SUPPORTED(n.isProbablePrime(rng, 0),
+                              "at least one witness round");
+    EXPECT_DEATH_IF_SUPPORTED(n.isProbablePrime(rng, -1),
+                              "at least one witness round");
+}
+
+TEST(BigInt, FromBytesMatchesShiftAndAdd)
+{
+    Rng rng(50);
+    for (size_t len : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u, 256u}) {
+        for (size_t zeros : {0u, 1u, 9u}) {
+            std::vector<uint8_t> bytes(len);
+            rng.fillBytes(bytes.data(), bytes.size());
+            std::fill_n(bytes.begin(), std::min(zeros, len), 0);
+            BigInt want;
+            for (uint8_t b : bytes)
+                want = (want << 8) + BigInt(b);
+            ASSERT_EQ(BigInt::fromBytes(bytes.data(), bytes.size()), want)
+                << "len=" << len << " leading zeros=" << zeros;
+            ASSERT_EQ(want.toBytes(len), bytes);
+        }
+    }
+}
+
+// ------------------------------------------------ Montgomery kernel widths
+//
+// Key generation runs the kernel at the limb counts of its primes
+// (1-8 limbs for keys up to 1024 bits), RSA at those of its moduli.
+// Widths up to 8 compile as constants and 9 is the first run-time
+// width, so every width is checked against plain BigInt arithmetic.
+
+const unsigned kKernelWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 32};
+
+/**
+ * Odd k-limb moduli: two random ones, one whose top limb is small
+ * (1, or 3 at one limb), and 2^(64k) - 1, where the kernel's final
+ * subtract fires most often.
+ */
+std::vector<BigInt>
+kernelModuli(unsigned k, Rng &rng)
+{
+    std::vector<BigInt> moduli;
+    for (int i = 0; i < 2; ++i) {
+        BigInt n = BigInt::randomBits(64 * k, rng);
+        if (!n.isOdd())
+            n = n + BigInt(1);
+        moduli.push_back(n);
+    }
+    if (k == 1) {
+        moduli.emplace_back(3);
+    } else {
+        BigInt low = BigInt::randomBits(64 * (k - 1), rng);
+        if (!low.isOdd())
+            low = low + BigInt(1);
+        moduli.push_back((BigInt(1) << (64 * (k - 1))) + low);
+    }
+    moduli.push_back((BigInt(1) << (64 * k)) - BigInt(1));
+    return moduli;
+}
+
+/** base^exp mod n by right-to-left square-and-multiply over * and %. */
+BigInt
+plainModExp(BigInt base, const BigInt &exp, const BigInt &n)
+{
+    BigInt result = BigInt(1) % n;
+    base = base % n;
+    for (unsigned i = 0; i < exp.bitLength(); ++i) {
+        if (exp.bit(i))
+            result = (result * base) % n;
+        base = (base * base) % n;
+    }
+    return result;
+}
+
+TEST(MontgomeryCtx, EveryKernelWidthMatchesReferences)
+{
+    Rng rng(51);
+    for (unsigned k : kKernelWidths) {
+        const unsigned bits = 64 * k;
+        const BigInt r = BigInt(1) << bits;
+        for (const BigInt &n : kernelModuli(k, rng)) {
+            SCOPED_TRACE("k=" + std::to_string(k) + " n=" + n.toHex());
+            const MontgomeryCtx ctx(n);
+            const BigInt r_inv = (r % n).modInverse(n);
+
+            // Products against (a * b) % n, over the edge operands.
+            const std::vector<BigInt> operands = {
+                BigInt(0), BigInt(1), n - BigInt(1),
+                BigInt::randomBelow(n, rng), BigInt::randomBelow(n, rng)};
+            for (const BigInt &a : operands) {
+                ASSERT_EQ(ctx.toMont(a), (a * r) % n);
+                ASSERT_EQ(ctx.fromMont(a), (a * r_inv) % n);
+                ASSERT_EQ(ctx.fromMont(ctx.toMont(a)), a);
+                for (const BigInt &b : operands) {
+                    ASSERT_EQ(ctx.mul(a, b), (a * b * r_inv) % n);
+                    ASSERT_EQ(ctx.fromMont(ctx.mul(ctx.toMont(a),
+                                                   ctx.toMont(b))),
+                              (a * b) % n);
+                }
+            }
+            // Operands at or above n: toMont reduces any base first,
+            // and a first operand below R still leaves a result < n.
+            const BigInt big = n + BigInt::randomBits(bits + 7, rng);
+            ASSERT_EQ(ctx.toMont(big), (big * r) % n);
+            ASSERT_EQ(ctx.fromMont(r - BigInt(1)),
+                      ((r - BigInt(1)) * r_inv) % n);
+
+            // Exponents: 0, 1, the last square-and-multiply length
+            // (32 bits), the first windowed one (33), windows of all
+            // ones, and full length up to 512 bits (every witness
+            // exponent of key generation up to 1024-bit keys). Bases
+            // 0, 1 and n - 1 have closed forms; the schoolbook
+            // reference is slow at wide widths, so it checks the
+            // 33-bit case only.
+            const BigInt base = BigInt::randomBelow(n, rng);
+            const BigInt e33 = BigInt::randomBits(33, rng);
+            ASSERT_EQ(ctx.modExp(base, e33),
+                      base.modExpSchoolbook(e33, n));
+            for (const BigInt &e :
+                 {BigInt(0), BigInt(1), BigInt::randomBits(32, rng), e33,
+                  (BigInt(1) << 36) - BigInt(1),
+                  BigInt::randomBits(std::min(bits, 512u), rng)}) {
+                SCOPED_TRACE("exp=" + e.toHex());
+                ASSERT_EQ(ctx.modExp(base, e), plainModExp(base, e, n));
+                if (e.bitLength() > 36)
+                    continue;
+                ASSERT_EQ(ctx.modExp(big, e), plainModExp(big, e, n));
+                ASSERT_EQ(ctx.modExp(BigInt(0), e),
+                          BigInt(e.isZero() ? 1 : 0));
+                ASSERT_EQ(ctx.modExp(BigInt(1), e), BigInt(1));
+                ASSERT_EQ(ctx.modExp(n - BigInt(1), e),
+                          e.isOdd() ? n - BigInt(1) : BigInt(1));
+            }
+        }
+    }
+}
+
+TEST(BigInt, PrimalityVerdictsAtEveryWidth)
+{
+    Rng rng(52);
+    // One limb: Carmichael numbers, strong pseudoprimes to base 2,
+    // and 127 * 131, the smallest composite trial division passes.
+    for (uint64_t composite :
+         {561ull, 41041ull, 825265ull, 2047ull, 3215031751ull,
+          127ull * 131ull}) {
+        EXPECT_FALSE(BigInt(composite).isProbablePrime(rng))
+            << composite;
+    }
+    EXPECT_TRUE(BigInt(127).isProbablePrime(rng));
+    EXPECT_TRUE(BigInt(131).isProbablePrime(rng));
+
+    // Products of two random primes at every kernel width up to 16
+    // limbs (the factors themselves run at about half of it); 1024-bit
+    // primes would cost a third of a second, so 32 limbs take the
+    // Mersenne primes 2^1279-1, 2^607-1 and 2^127-1, whose product
+    // has 2013 bits. 2^521-1 and 2^607-1 are primes at 9 and 10 limbs.
+    for (unsigned k : kKernelWidths) {
+        if (k > 16)
+            continue;
+        const unsigned bits = 64 * k;
+        const BigInt p = BigInt::randomPrime(bits / 2, rng);
+        const BigInt q = BigInt::randomPrime(bits - bits / 2, rng);
+        EXPECT_TRUE(p.isProbablePrime(rng)) << "k=" << k;
+        EXPECT_TRUE(q.isProbablePrime(rng)) << "k=" << k;
+        EXPECT_FALSE((p * q).isProbablePrime(rng)) << "k=" << k;
+    }
+    const auto mersenne = [](unsigned exponent) {
+        return (BigInt(1) << exponent) - BigInt(1);
+    };
+    EXPECT_TRUE(mersenne(521).isProbablePrime(rng));
+    EXPECT_TRUE(mersenne(607).isProbablePrime(rng));
+    const BigInt wide = mersenne(1279) * mersenne(607) * mersenne(127);
+    ASSERT_EQ((wide.bitLength() + 63) / 64, 32u);
+    EXPECT_FALSE(wide.isProbablePrime(rng));
+}
+
 TEST(MontgomeryCtx, KnownValuesAndDomainRoundTrip)
 {
     const BigInt n = BigInt::fromHex("10000000000000000000000001");
@@ -1173,6 +1355,83 @@ TEST(Rsa, MontgomeryContextIsCachedPerKey)
     // one; modExp callers fall back to the generic path.
     const RsaPublicKey even_key(BigInt(0x10000), BigInt(3));
     EXPECT_EQ(even_key.montCtx(), nullptr);
+}
+
+// Every consumer (fleet vendor, perfbench live set-up, update_tool,
+// the benches) draws two key pairs from one stream, so each case
+// hashes both pairs' n and d, then the stream's next draw: a change
+// to how many draws a witness round or a candidate consumes moves
+// the digest even when the keys happen to survive it.
+struct PinnedKeys
+{
+    uint64_t seed;
+    unsigned bits;
+    const char *sha256;
+};
+
+const PinnedKeys kPinnedKeys[] = {
+    // perfbench's live key seed.
+    {0x5EC0A7A, 128,
+     "260f06bc7519380442db2fa348690ed197cb7f78e4ca20b3c51fda9e5d8aa859"},
+    {0x5EC0A7A, 384,
+     "0b8dba904478835ffcd12f4bb3521172972b71f646b334b6d74ecd674d9697c0"},
+    {0x5EC0A7A, 512,
+     "4fb476df25f2a618e6879f60c91d00ad8d6de2519e58164021dc149e77d595ec"},
+    {0x5EC0A7A, 768,
+     "0eed0834841ff700986ce4b0c749ffee1d6e84d81efac3dcd810a06e1db16fe6"},
+    {0x5EC0A7A, 1024,
+     "b3fabd09febe1ae81ff2a578c5da3db5ae0c8422371fdc23b812c6efe89bf79e"},
+    // fleet::VendorService's stream: mixSeed(0xF1EE7, 0x5E11E12).
+    {0x5E9152EA3DDD5C9Eull, 128,
+     "bbf9d662ed3d6244e9483be466d31439ea1834265ff5bef4627c7d397cae2483"},
+    {0x5E9152EA3DDD5C9Eull, 384,
+     "39e9ca4c0b756e9e0e92af8042e8ac8f3a1631bb05550dd372c51223be5c3a02"},
+    {0x5E9152EA3DDD5C9Eull, 512,
+     "b311809a23f260aa85c64c5fd55045e5d822adc99f375c34bf48dcb7614933ee"},
+    {0x5E9152EA3DDD5C9Eull, 768,
+     "a6e845f19de9336c375183885af16d14b1ce802ae32acaa13b833b221f1695d8"},
+    {0x5E9152EA3DDD5C9Eull, 1024,
+     "a664bbd869e3dbcb02581ad0d62099fae686c92e10a74854325c7ac2012130ec"},
+    // update_tool keygen --seed=7 / --seed=8 (the CI smoke's keys).
+    {7, 128,
+     "25cf84eb22847ddce10c27172b0faa6dbe969ac6fe410eac85d36b3ea8e5c81b"},
+    {7, 384,
+     "1c5a812b2a81a4c6eff868dd5d2bf97f875b48fabf6a710e0bb956ec92d5ba56"},
+    {7, 512,
+     "a290e52daed20d90fa350794b820538549346024117e8d60f812f59630a26031"},
+    {7, 768,
+     "2f85b1418203fc7d0b44e80d40901ab26eac62394ba0e7287618ae7bca125eec"},
+    {8, 128,
+     "727345fc2ba5643c728e5112fb05f94569be74184258c22c479c8af166c2a548"},
+    {8, 384,
+     "58d2025881561fffeef678c94793931bae4929c3174576b46eee8856f9ae16b3"},
+    {8, 512,
+     "7cfd3ca3c6c36dda465df5a670c390d70bf3ab207728d3530e06bec9392b5056"},
+    {8, 768,
+     "1b14e6596f3e7800cf069172b952dfc6f3ee9fcf95c34bd2d3fe9bf512cd3921"},
+};
+
+TEST(Rsa, GeneratedKeysArePinned)
+{
+    for (const PinnedKeys &pin : kPinnedKeys) {
+        Rng rng(pin.seed);
+        Sha256 hash;
+        for (int key = 0; key < 2; ++key) {
+            const auto pair = rsaGenerate(pin.bits, rng);
+            for (const BigInt *v : {&pair.priv.n, &pair.priv.d}) {
+                const auto bytes = v->toBytes();
+                hash.update(bytes.data(), bytes.size());
+            }
+        }
+        const uint64_t next = rng.next64();
+        hash.update(reinterpret_cast<const uint8_t *>(&next),
+                    sizeof(next));
+        uint8_t digest[Sha256::kDigestSize];
+        hash.final(digest);
+        EXPECT_EQ(toHex(digest, sizeof(digest)), pin.sha256)
+            << "seed=0x" << std::hex << pin.seed << std::dec
+            << " bits=" << pin.bits;
+    }
 }
 
 // ---------------------------------------------------------- latency model
