@@ -398,13 +398,6 @@ BigInt::toHex() const
     return out;
 }
 
-uint64_t
-BigInt::toUint64() const
-{
-    panic_if(limbs_.size() > 1, "BigInt does not fit in uint64_t");
-    return limbs_.empty() ? 0 : limbs_[0];
-}
-
 int
 BigInt::compare(const BigInt &other) const
 {
@@ -1071,13 +1064,19 @@ BigInt
 BigInt::randomPrime(unsigned bits, util::Rng &rng)
 {
     fatal_if(bits < 8, "randomPrime needs >= 8 bits");
-    while (true) {
+    // An odd candidate near 2^bits is prime with probability about
+    // 2 / (bits ln 2), so the expected count is 0.35·bits and missing
+    // 64·bits times in a row has probability about e^-185.
+    const uint64_t max_candidates = uint64_t{64} * bits;
+    for (uint64_t drawn = 0; drawn < max_candidates; ++drawn) {
         BigInt candidate = randomBits(bits, rng);
         if (!candidate.isOdd())
             candidate = candidate + BigInt(1);
         if (candidate.isProbablePrime(rng))
             return candidate;
     }
+    fatal("no ", bits, "-bit prime in ", max_candidates,
+          " candidates: the primality test rejects everything");
 }
 
 } // namespace secproc::crypto

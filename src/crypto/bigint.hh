@@ -77,9 +77,6 @@ class BigInt
     /** Lower-case hex string, "0" for zero. */
     std::string toHex() const;
 
-    /** Convert to uint64_t; panics if the value does not fit. */
-    uint64_t toUint64() const;
-
     // Comparisons.
     int compare(const BigInt &other) const;
     bool operator==(const BigInt &o) const { return compare(o) == 0; }
@@ -127,7 +124,11 @@ class BigInt
      */
     bool isProbablePrime(util::Rng &rng, int rounds = 24) const;
 
-    /** Random prime with exactly @p bits bits. */
+    /**
+     * Random prime with exactly @p bits bits. Fatal after 64·bits
+     * candidates, about 185 times the expected count at any size: a
+     * primality test that never accepts fails instead of hanging.
+     */
     static BigInt randomPrime(unsigned bits, util::Rng &rng);
 
     /**

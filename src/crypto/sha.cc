@@ -4,7 +4,7 @@
  *
  * SHA-256 compression is multi-block and dispatches once, at first
  * use, between a portable implementation and an x86 SHA-NI one
- * (runtime CPUID probe; `SECPROC_SHA256=scalar` forces portable).
+ * (runtime CPUID probe; both paths produce identical digests).
  * update() feeds whole blocks straight from the caller's buffer —
  * no per-block memcpy — which matters because OTA image digests push
  * megabytes through here per simulated install.
@@ -12,7 +12,6 @@
 
 #include "crypto/sha.hh"
 
-#include <cstdlib>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -165,27 +164,17 @@ constexpr uint32_t kSha256K[64] = {
 };
 
 /**
- * Pick the SHA-256 compression function once per process: the
- * hardware path when the CPU has it and the environment doesn't
- * override, the portable path otherwise.
+ * The SHA-256 compression function, picked once per process: the
+ * hardware path when the CPU has it, the portable path otherwise.
  */
 using CompressFn = void (*)(uint32_t[8], const uint8_t *, size_t);
 
 CompressFn
-selectCompress()
-{
-    const char *env = std::getenv("SECPROC_SHA256");
-    const bool force_scalar =
-        env != nullptr && std::strcmp(env, "scalar") == 0;
-    if (!force_scalar && detail::sha256CpuHasShaNi())
-        return detail::sha256CompressHw;
-    return detail::sha256CompressScalar;
-}
-
-CompressFn
 compress()
 {
-    static const CompressFn fn = selectCompress();
+    static const CompressFn fn = detail::sha256CpuHasShaNi()
+                                     ? detail::sha256CompressHw
+                                     : detail::sha256CompressScalar;
     return fn;
 }
 

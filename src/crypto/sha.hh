@@ -105,10 +105,9 @@ class Sha256Sink final : public util::ByteSink
 
 /**
  * True when SHA-256 compression runs on the CPU's SHA extensions
- * (x86 SHA-NI) rather than the portable implementation. Set
- * `SECPROC_SHA256=scalar` in the environment to force the portable
- * path; both produce identical digests (pinned by a differential
- * test).
+ * (x86 SHA-NI) rather than the portable implementation, which is
+ * exactly when the CPU probe finds them. Both produce identical
+ * digests (pinned by a differential test).
  */
 bool sha256HardwareAvailable();
 

@@ -14,17 +14,6 @@
 namespace secproc::fleet
 {
 
-const char *
-workloadMixName(WorkloadMix mix)
-{
-    switch (mix) {
-    case WorkloadMix::Idle: return "idle";
-    case WorkloadMix::Office: return "office";
-    case WorkloadMix::Heavy: return "heavy";
-    }
-    panic("bad workload mix");
-}
-
 double
 workloadContentionFactor(WorkloadMix mix)
 {

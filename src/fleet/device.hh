@@ -72,8 +72,6 @@ enum class WorkloadMix : uint8_t
     Heavy,  ///< bus-saturating foreground (the paper's art-like mix)
 };
 
-const char *workloadMixName(WorkloadMix mix);
-
 /**
  * Install-pipeline stretch factor under the mix's bus contention,
  * applied to the post-download pipeline only (the downlink is not

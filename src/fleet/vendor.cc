@@ -18,17 +18,6 @@
 namespace secproc::fleet
 {
 
-const char *
-installOutcomeName(InstallOutcome outcome)
-{
-    switch (outcome) {
-    case InstallOutcome::Updated: return "updated";
-    case InstallOutcome::FailedHealth: return "failed_health";
-    case InstallOutcome::RolledBack: return "rolled_back";
-    }
-    panic("bad install outcome");
-}
-
 const InstallCostModel &
 ReleaseInfo::cost(uint32_t engine_latency) const
 {

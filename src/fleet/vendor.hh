@@ -82,8 +82,6 @@ enum class InstallOutcome : uint8_t
     RolledBack,   ///< reverted to the rollback release after a halt
 };
 
-const char *installOutcomeName(InstallOutcome outcome);
-
 /** One published release and everything the fleet needs to cost it. */
 struct ReleaseInfo
 {
@@ -208,12 +206,6 @@ class VendorService
     {
         return wave_open + jitter +
                position * config_.cdn_service_cycles;
-    }
-
-    /** CDN queueing share of a dispatch (for telemetry). */
-    uint64_t queueDelay(uint64_t position) const
-    {
-        return position * config_.cdn_service_cycles;
     }
 
     /** Grow the ledger by one wave's @p n records, returned to be

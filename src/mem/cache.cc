@@ -13,6 +13,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -321,15 +322,6 @@ Cache::setMeta(uint64_t addr, uint64_t value)
     return true;
 }
 
-double
-Cache::missRate() const
-{
-    const uint64_t total = hits_.value() + misses_.value();
-    return total == 0 ? 0.0
-                      : static_cast<double>(misses_.value()) /
-                            static_cast<double>(total);
-}
-
 void
 Cache::resetStats()
 {
@@ -341,13 +333,14 @@ Cache::resetStats()
 }
 
 void
-Cache::regStats(util::StatGroup &group) const
+Cache::registerMetrics(obs::MetricsRegistry &reg,
+                       const std::string &prefix) const
 {
-    group.regCounter("hits", &hits_);
-    group.regCounter("misses", &misses_);
-    group.regCounter("evictions", &evictions_);
-    group.regCounter("dirty_evictions", &dirty_evictions_);
-    group.regCounter("rejected_fills", &rejected_fills_);
+    reg.counter(prefix + ".hits", &hits_);
+    reg.counter(prefix + ".misses", &misses_);
+    reg.counter(prefix + ".evictions", &evictions_);
+    reg.counter(prefix + ".dirty_evictions", &dirty_evictions_);
+    reg.counter(prefix + ".rejected_fills", &rejected_fills_);
 }
 
 } // namespace secproc::mem

@@ -26,6 +26,11 @@
 #include "util/random.hh"
 #include "util/stats.hh"
 
+namespace secproc::obs
+{
+class MetricsRegistry;
+}
+
 namespace secproc::mem
 {
 
@@ -239,12 +244,15 @@ class Cache
     uint64_t evictions() const { return evictions_.value(); }
     uint64_t dirtyEvictions() const { return dirty_evictions_.value(); }
     uint64_t rejectedFills() const { return rejected_fills_.value(); }
-    double missRate() const;
     void resetStats();
     /** @} */
 
-    /** Register this cache's statistics with @p group. */
-    void regStats(util::StatGroup &group) const;
+    /**
+     * Bind hits, misses, evictions, dirty_evictions and
+     * rejected_fills into @p reg as "<prefix>.<name>".
+     */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
   private:
     struct Line

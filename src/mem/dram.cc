@@ -5,6 +5,7 @@
 
 #include "mem/dram.hh"
 
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace secproc::mem
@@ -81,11 +82,12 @@ DramModel::reset()
 }
 
 void
-DramModel::regStats(util::StatGroup &group) const
+DramModel::registerMetrics(obs::MetricsRegistry &reg,
+                           const std::string &prefix) const
 {
-    group.regCounter("row_hits", &row_hits_);
-    group.regCounter("row_misses", &row_misses_);
-    group.regCounter("row_conflicts", &row_conflicts_);
+    reg.counter(prefix + ".row_hits", &row_hits_);
+    reg.counter(prefix + ".row_misses", &row_misses_);
+    reg.counter(prefix + ".row_conflicts", &row_conflicts_);
 }
 
 } // namespace secproc::mem

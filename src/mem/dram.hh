@@ -21,9 +21,15 @@
 #define SECPROC_MEM_DRAM_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/stats.hh"
+
+namespace secproc::obs
+{
+class MetricsRegistry;
+}
 
 namespace secproc::mem
 {
@@ -86,7 +92,12 @@ class DramModel
     /** Close all rows and clear occupancy (new run). */
     void reset();
 
-    void regStats(util::StatGroup &group) const;
+    /**
+     * Bind row_hits, row_misses and row_conflicts into @p reg as
+     * "<prefix>.<name>".
+     */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
     const DramConfig &config() const { return config_; }
 

@@ -51,7 +51,6 @@ class OnChipStore
     uint8_t *peekMutable(uint64_t line_addr);
 
     size_t residentLines() const { return lines_.size(); }
-    uint32_t lineSize() const { return line_size_; }
 
     void
     clear()

@@ -224,16 +224,4 @@ VirtualMemory::rebase(Asid asid)
     flushTlb(); // every cached translation for asid is now stale
 }
 
-size_t
-VirtualMemory::pageTableBytesReserved() const
-{
-    size_t bytes = 0;
-    for (const auto &space : spaces_) {
-        if (space != nullptr)
-            bytes += space->frames.bytesReserved() +
-                     space->regions.capacity() * sizeof(Region);
-    }
-    return bytes;
-}
-
 } // namespace secproc::mem

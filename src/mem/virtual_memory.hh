@@ -113,9 +113,6 @@ class VirtualMemory
     uint64_t tlbMisses() const { return tlb_misses_; }
     /** @} */
 
-    /** Bytes reserved by the page tables (all ASIDs). */
-    size_t pageTableBytesReserved() const;
-
   private:
     static constexpr size_t kTlbEntries = 256;
 

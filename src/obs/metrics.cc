@@ -75,13 +75,6 @@ MetricsRegistry::histogram(const std::string &name,
         [h] { return h->percentile(0.99); });
 }
 
-void
-MetricsRegistry::group(const util::StatGroup &g)
-{
-    for (const auto &[stat_name, c] : g.counters())
-        counter(g.name() + "." + stat_name, c);
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {

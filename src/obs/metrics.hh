@@ -3,8 +3,9 @@
  * Unified metrics plane.
  *
  * Components own util/stats primitives (Counter, Accumulator,
- * Histogram) or expose accessor functions; a MetricsRegistry binds
- * them under hierarchical dotted names ("channel.agent.core.bytes",
+ * Histogram) or expose accessor functions, and their
+ * registerMetrics() binds them into a MetricsRegistry under
+ * hierarchical dotted names ("l2.hits", "channel.agent.core.bytes",
  * "crypto.reserved_operations", "install.stage_write_cycles") so
  * stats rendering, measurement windows and machine-readable dumps
  * all read from one source instead of each report hand-aggregating
@@ -76,12 +77,6 @@ class MetricsRegistry
      * ".p50", ".p90" and ".p99" gauges.
      */
     void histogram(const std::string &name, const util::Histogram *h);
-
-    /**
-     * Bridge a StatGroup: every registered counter is bound under
-     * "<group name>.<stat name>".
-     */
-    void group(const util::StatGroup &g);
 
     /** Metrics registered so far (accumulators/histograms expand). */
     size_t size() const { return metrics_.size(); }

@@ -251,9 +251,6 @@ class Transport
      *  called. */
     uint64_t completionCycle() const;
 
-    /** Payload size of the current stream. */
-    uint64_t payloadBytes() const { return payload_.size(); }
-
     /** Statistics over the current stream. @{ */
     uint64_t chunksSent() const { return chunks_sent_; }
     uint64_t chunksLost() const { return chunks_lost_; }

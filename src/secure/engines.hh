@@ -128,7 +128,8 @@ class OtpEngine : public ProtectionEngine
                     std::span<uint8_t> bytes) const override;
 
     void reset() override;
-    void regStats(util::StatGroup &group) const override;
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const override;
 
     /** The on-chip sequence number cache. */
     const SequenceNumberCache &snc() const { return snc_; }

@@ -85,7 +85,6 @@ IntegrityEngine::verifyFill(uint64_t line_va, uint64_t request_cycle,
 
       case IntegrityMode::MacBlocking:
       case IntegrityMode::MacSpeculative: {
-        ++verifications_;
         const uint64_t mac_arrival = channel.scheduleRead(
             request_cycle, mem::Traffic::MacFetch, /*small=*/true,
             macTableAddr(line_va));
@@ -97,7 +96,6 @@ IntegrityEngine::verifyFill(uint64_t line_va, uint64_t request_cycle,
       }
 
       case IntegrityMode::MerkleCached: {
-        ++verifications_;
         // Walk leaf-to-root; stop at the first cached (trusted)
         // node. Each uncached level costs a node fetch + hash.
         uint64_t index = (line_va / config_.line_size);
@@ -110,7 +108,6 @@ IntegrityEngine::verifyFill(uint64_t line_va, uint64_t request_cycle,
                 ready = hashAt(ready);
                 break; // verified against a trusted cached node
             }
-            ++node_misses_;
             const uint64_t node_arrival = channel.scheduleRead(
                 request_cycle, mem::Traffic::MacFetch, /*small=*/true,
                 addr);
@@ -223,14 +220,6 @@ IntegrityEngine::storedMac(uint64_t line_va) const
     if (stored == nullptr)
         return std::nullopt;
     return *stored;
-}
-
-void
-IntegrityEngine::regStats(util::StatGroup &group) const
-{
-    group.regCounter("verifications", &verifications_);
-    group.regCounter("node_cache_hits", &node_hits_);
-    group.regCounter("node_cache_misses", &node_misses_);
 }
 
 } // namespace secproc::secure

@@ -130,17 +130,10 @@ class IntegrityEngine
     void corruptStoredMac(uint64_t line_va, const LineMac &mac);
     std::optional<LineMac> storedMac(uint64_t line_va) const;
 
-    /** Statistics. @{ */
-    uint64_t verifications() const { return verifications_.value(); }
+    /** Merkle walks that stopped at a cached (trusted) node. */
     uint64_t nodeCacheHits() const { return node_hits_.value(); }
-    uint64_t nodeCacheMisses() const { return node_misses_.value(); }
-    void regStats(util::StatGroup &group) const;
-    /** @} */
 
     const IntegrityConfig &config() const { return config_; }
-
-    /** Tree levels above the leaves for the configured coverage. */
-    uint32_t treeLevels() const { return tree_levels_; }
 
   private:
     IntegrityConfig config_;
@@ -152,9 +145,7 @@ class IntegrityEngine
     /** Keyed by line index (line_va / line_size); flat radix pages. */
     util::RadixArray<LineMac> mac_table_;
 
-    util::Counter verifications_;
     util::Counter node_hits_;
-    util::Counter node_misses_;
 
     uint64_t hashAt(uint64_t start);
 

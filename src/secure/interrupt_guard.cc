@@ -154,11 +154,4 @@ InterruptGuard::computeMac(uint64_t event_id,
     return mac;
 }
 
-void
-InterruptGuard::regStats(util::StatGroup &group) const
-{
-    group.regCounter("interrupt_events", &events_);
-    group.regCounter("tamper_detections", &detections_);
-}
-
 } // namespace secproc::secure

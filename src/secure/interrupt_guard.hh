@@ -127,8 +127,6 @@ class InterruptGuard
 
     const InterruptGuardConfig &config() const { return config_; }
 
-    void regStats(util::StatGroup &group) const;
-
     /**
      * Trace restore verdicts onto @p sink (nullptr detaches): the
      * "interrupt_guard" track carries one pass/fail instant per

@@ -20,6 +20,7 @@
 #include <algorithm>
 
 #include "crypto/block_cipher.hh"
+#include "obs/metrics.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -592,14 +593,16 @@ OtpEngine::reset()
 }
 
 void
-OtpEngine::regStats(util::StatGroup &group) const
+OtpEngine::registerMetrics(obs::MetricsRegistry &reg,
+                           const std::string &prefix) const
 {
-    ProtectionEngine::regStats(group);
-    group.regCounter("query_miss_fills", &query_miss_fills_);
-    group.regCounter("direct_fallback_fills", &direct_fallback_fills_);
-    group.regCounter("pad_predictions", &pad_predictions_);
-    group.regCounter("pad_prediction_hits", &pad_prediction_hits_);
-    snc_.regStats(group);
+    ProtectionEngine::registerMetrics(reg, prefix);
+    reg.counter(prefix + ".query_miss_fills", &query_miss_fills_);
+    reg.counter(prefix + ".direct_fallback_fills",
+                &direct_fallback_fills_);
+    reg.counter(prefix + ".pad_predictions", &pad_predictions_);
+    reg.counter(prefix + ".pad_prediction_hits", &pad_prediction_hits_);
+    snc_.registerMetrics(reg, prefix);
 }
 
 } // namespace secproc::secure

@@ -5,6 +5,7 @@
 
 #include "secure/protection_engine.hh"
 
+#include "obs/metrics.hh"
 #include "secure/engines.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -102,11 +103,12 @@ ProtectionEngine::reset()
 }
 
 void
-ProtectionEngine::regStats(util::StatGroup &group) const
+ProtectionEngine::registerMetrics(obs::MetricsRegistry &reg,
+                                  const std::string &prefix) const
 {
-    group.regCounter("fast_fills", &fast_fills_);
-    group.regCounter("slow_fills", &slow_fills_);
-    group.regCounter("plain_fills", &plain_fills_);
+    reg.counter(prefix + ".fast_fills", &fast_fills_);
+    reg.counter(prefix + ".slow_fills", &slow_fills_);
+    reg.counter(prefix + ".plain_fills", &plain_fills_);
 }
 
 const crypto::BlockCipher &

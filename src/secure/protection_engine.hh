@@ -41,6 +41,11 @@
 #include "util/radix_array.hh"
 #include "util/stats.hh"
 
+namespace secproc::obs
+{
+class MetricsRegistry;
+}
+
 namespace secproc::secure
 {
 
@@ -286,8 +291,12 @@ class ProtectionEngine
      */
     virtual void reset();
 
-    /** Statistics registration. */
-    virtual void regStats(util::StatGroup &group) const;
+    /**
+     * Bind the fill counters (fast_fills, slow_fills, plain_fills)
+     * into @p reg as "<prefix>.<name>"; models add their own.
+     */
+    virtual void registerMetrics(obs::MetricsRegistry &reg,
+                                 const std::string &prefix) const;
 
     /** Fills that paid serial crypto latency. */
     uint64_t slowFills() const { return slow_fills_.value(); }

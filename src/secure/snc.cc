@@ -15,6 +15,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -263,15 +264,16 @@ SequenceNumberCache::resetStats()
 }
 
 void
-SequenceNumberCache::regStats(util::StatGroup &group) const
+SequenceNumberCache::registerMetrics(obs::MetricsRegistry &reg,
+                                     const std::string &prefix) const
 {
-    group.regCounter("query_hits", &query_hits_);
-    group.regCounter("query_misses", &query_misses_);
-    group.regCounter("update_hits", &update_hits_);
-    group.regCounter("update_misses", &update_misses_);
-    group.regCounter("spills", &spills_);
-    group.regCounter("rejected_installs", &rejected_);
-    group.regCounter("seqnum_overflows", &overflows_);
+    reg.counter(prefix + ".query_hits", &query_hits_);
+    reg.counter(prefix + ".query_misses", &query_misses_);
+    reg.counter(prefix + ".update_hits", &update_hits_);
+    reg.counter(prefix + ".update_misses", &update_misses_);
+    reg.counter(prefix + ".spills", &spills_);
+    reg.counter(prefix + ".rejected_installs", &rejected_);
+    reg.counter(prefix + ".seqnum_overflows", &overflows_);
 }
 
 } // namespace secproc::secure

@@ -23,10 +23,16 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "util/stats.hh"
+
+namespace secproc::obs
+{
+class MetricsRegistry;
+}
 
 namespace secproc::secure
 {
@@ -230,8 +236,14 @@ class SequenceNumberCache
     uint64_t rejectedInstalls() const { return rejected_.value(); }
     uint64_t overflows() const { return overflows_.value(); }
     void resetStats();
-    void regStats(util::StatGroup &group) const;
     /** @} */
+
+    /**
+     * Bind the query, update, spill, rejected_installs and
+     * seqnum_overflows counters into @p reg as "<prefix>.<name>".
+     */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
   private:
     /** Sentinel for a sector slot holding no sequence number. */

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace secproc::sim
@@ -161,12 +162,13 @@ OooCore::reset()
 }
 
 void
-OooCore::regStats(util::StatGroup &group) const
+OooCore::registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const
 {
-    group.regCounter("loads", &loads_);
-    group.regCounter("stores", &stores_);
-    group.regCounter("branches", &branches_);
-    group.regCounter("mispredicts", &mispredicts_);
+    reg.counter(prefix + ".loads", &loads_);
+    reg.counter(prefix + ".stores", &stores_);
+    reg.counter(prefix + ".branches", &branches_);
+    reg.counter(prefix + ".mispredicts", &mispredicts_);
 }
 
 } // namespace secproc::sim

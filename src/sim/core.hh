@@ -21,10 +21,16 @@
 #define SECPROC_SIM_CORE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/trace.hh"
 #include "util/stats.hh"
+
+namespace secproc::obs
+{
+class MetricsRegistry;
+}
 
 namespace secproc::sim
 {
@@ -102,7 +108,12 @@ class OooCore
     /** Restart timing (fresh run; memory system reset separately). */
     void reset();
 
-    void regStats(util::StatGroup &group) const;
+    /**
+     * Bind the loads, stores, branches and mispredicts counters into
+     * @p reg as "<prefix>.<name>".
+     */
+    void registerMetrics(obs::MetricsRegistry &reg,
+                         const std::string &prefix) const;
 
   private:
     CoreConfig config_;

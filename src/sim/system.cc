@@ -397,16 +397,6 @@ System::functionalFill(const secure::FillPlan &plan)
 }
 
 void
-System::functionalEvict(uint64_t line_va, mem::RegionKind kind)
-{
-    const secure::EvictPlan plan = engine_->planEvict(line_va, kind);
-    if (!onchip_.removeInto(line_va, line_scratch_))
-        std::fill(line_scratch_.begin(), line_scratch_.end(), 0);
-    engine_->applyEvict(plan, line_scratch_);
-    memory_.writeLine(vm_.translate(asid_, line_va), line_scratch_);
-}
-
-void
 System::functionalStore(uint64_t vaddr)
 {
     const uint64_t line_va = lineAlign(vaddr);
@@ -562,26 +552,19 @@ System::stats() const
 void
 System::registerMetrics(obs::MetricsRegistry &reg) const
 {
-    // Component StatGroups, bridged under their existing prefixes.
-    util::StatGroup l1i_group("l1i"), l1d_group("l1d"), l2_group("l2");
-    l1i_.regStats(l1i_group);
-    l1d_.regStats(l1d_group);
-    l2_.regStats(l2_group);
-    reg.group(l1i_group);
-    reg.group(l1d_group);
-    reg.group(l2_group);
-
-    util::StatGroup core_group("core");
-    core_.regStats(core_group);
-    reg.group(core_group);
-
-    util::StatGroup engine_group(engine_->name());
-    engine_->regStats(engine_group);
-    reg.group(engine_group);
+    // Component counters, each under its component's prefix; the
+    // engine's (SNC counters included) under the model's own name.
+    l1i_.registerMetrics(reg, "l1i");
+    l1d_.registerMetrics(reg, "l1d");
+    l2_.registerMetrics(reg, "l2");
+    core_.registerMetrics(reg, "core");
+    engine_->registerMetrics(reg, engine_->name());
+    if (const mem::DramModel *dram = channel_.dram())
+        dram->registerMetrics(reg, "dram");
 
     // Canonical anchors the measurement window is defined over. The
-    // core's StatGroup registers event mixes, not cycles, so these
-    // cannot collide with the bridged names above.
+    // core registers event mixes, not cycles, so these cannot collide
+    // with the component names above.
     const OooCore *core = &core_;
     reg.counterFn("core.cycles", [core] { return core->cycles(); });
     reg.counterFn("core.instructions",
@@ -645,8 +628,8 @@ System::registerMetrics(obs::MetricsRegistry &reg) const
         return static_cast<double>(crypto->busyUntil());
     });
 
-    // Model-independent protection-engine anchors (the bridged group
-    // above is prefixed with the model's own name).
+    // Model-independent protection-engine anchors (the engine's own
+    // counters above are prefixed with the model's name).
     const secure::ProtectionEngine *eng = engine_.get();
     reg.counterFn("engine.fast_fills",
                   [eng] { return eng->fastFills(); });

@@ -152,9 +152,6 @@ class System : public MemorySystem
      */
     void attachAgent(BackgroundAgent *agent);
 
-    /** Scheduler run() drives attached agents with. */
-    KernelMode kernelMode() const { return kernel_; }
-
     /** Override the environment-selected kernel (tests, tools). */
     void setKernelMode(KernelMode mode) { kernel_ = mode; }
 
@@ -221,8 +218,10 @@ class System : public MemorySystem
 
     /**
      * Register every machine metric with @p reg under its canonical
-     * hierarchical name: the cache/core/engine StatGroups bridged
-     * verbatim, plus channel traffic (total, per category, per
+     * hierarchical name: each cache's, the core's and the engine's
+     * own counters under "l1i", "l1d", "l2", "core" and the model's
+     * name, DRAM row-buffer counters under "dram" on a banked
+     * channel, plus channel traffic (total, per category, per
      * agent), arbiter grants and stalls, crypto-engine occupancy and
      * measurement anchors ("core.cycles", "l2.accesses", ...). The
      * registry binds live sources, so one registration serves any
@@ -341,7 +340,6 @@ class System : public MemorySystem
 
     // Functional plane helpers.
     void functionalFill(const secure::FillPlan &plan);
-    void functionalEvict(uint64_t line_va, mem::RegionKind kind);
     void functionalStore(uint64_t vaddr);
 };
 

@@ -49,21 +49,6 @@ struct TraceOp
     uint64_t fetch_line = 0;
 };
 
-/** Readable op class name (debugging and stats). */
-inline const char *
-opClassName(OpClass cls)
-{
-    switch (cls) {
-      case OpClass::IntAlu: return "int_alu";
-      case OpClass::IntMul: return "int_mul";
-      case OpClass::FpAlu: return "fp_alu";
-      case OpClass::Load: return "load";
-      case OpClass::Store: return "store";
-      case OpClass::Branch: return "branch";
-    }
-    return "unknown";
-}
-
 } // namespace secproc::sim
 
 #endif // SECPROC_SIM_TRACE_HH

@@ -294,11 +294,6 @@ class UpdateEngine
     /** This processor's identity fingerprint. */
     const Digest &processorIdentity() const { return identity_; }
 
-    const crypto::RsaKeyPair &processorKey() const
-    {
-        return processor_key_;
-    }
-
     /**
      * Provision the dedicated attestation signing key. Deliberately
      * distinct from the capsule-unwrap key pair: the loader's

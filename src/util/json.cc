@@ -1,11 +1,10 @@
 /**
  * @file
- * JSON writer and recursive-descent parser.
+ * JSON document model and writer.
  */
 
 #include "util/json.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -121,13 +120,6 @@ Json::at(const std::string &key) const
     const Json *member = find(key);
     panic_if(member == nullptr, "missing JSON key '", key, "'");
     return *member;
-}
-
-const std::vector<std::pair<std::string, Json>> &
-Json::members() const
-{
-    panic_if(type_ != Type::Object, "not a JSON object");
-    return object_;
 }
 
 bool
@@ -257,256 +249,6 @@ Json::dump(int indent) const
     std::string out;
     dumpTo(out, indent, 0);
     return out;
-}
-
-namespace
-{
-
-/** Recursive-descent parser; any error latches ok_ false. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    std::optional<Json>
-    run()
-    {
-        const Json value = parseValue();
-        skipSpace();
-        if (!ok_ || pos_ != text_.size())
-            return std::nullopt;
-        return value;
-    }
-
-  private:
-    const std::string &text_;
-    size_t pos_ = 0;
-    bool ok_ = true;
-    int depth_ = 0;
-
-    static constexpr int kMaxDepth = 128;
-
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        const size_t len = std::char_traits<char>::length(word);
-        if (text_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    Json
-    parseValue()
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || ++depth_ > kMaxDepth) {
-            ok_ = false;
-            return Json();
-        }
-        Json out;
-        const char c = text_[pos_];
-        if (c == '{')
-            out = parseObject();
-        else if (c == '[')
-            out = parseArray();
-        else if (c == '"')
-            out = Json(parseString());
-        else if (c == '-' || std::isdigit(static_cast<unsigned char>(c)))
-            out = parseNumber();
-        else if (literal("true"))
-            out = Json(true);
-        else if (literal("false"))
-            out = Json(false);
-        else if (literal("null"))
-            out = Json();
-        else
-            ok_ = false;
-        --depth_;
-        return out;
-    }
-
-    Json
-    parseObject()
-    {
-        ++pos_; // '{'
-        Json out = Json::object();
-        if (consume('}'))
-            return out;
-        while (ok_) {
-            skipSpace();
-            if (pos_ >= text_.size() || text_[pos_] != '"') {
-                ok_ = false;
-                return out;
-            }
-            const std::string key = parseString();
-            if (!ok_ || !consume(':')) {
-                ok_ = false;
-                return out;
-            }
-            out.set(key, parseValue());
-            if (consume('}'))
-                return out;
-            if (!consume(',')) {
-                ok_ = false;
-                return out;
-            }
-        }
-        return out;
-    }
-
-    Json
-    parseArray()
-    {
-        ++pos_; // '['
-        Json out = Json::array();
-        if (consume(']'))
-            return out;
-        while (ok_) {
-            out.push(parseValue());
-            if (consume(']'))
-                return out;
-            if (!consume(',')) {
-                ok_ = false;
-                return out;
-            }
-        }
-        return out;
-    }
-
-    std::string
-    parseString()
-    {
-        ++pos_; // '"'
-        std::string out;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                break;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"': out.push_back('"'); break;
-              case '\\': out.push_back('\\'); break;
-              case '/': out.push_back('/'); break;
-              case 'b': out.push_back('\b'); break;
-              case 'f': out.push_back('\f'); break;
-              case 'n': out.push_back('\n'); break;
-              case 'r': out.push_back('\r'); break;
-              case 't': out.push_back('\t'); break;
-              case 'u': {
-                if (pos_ + 4 > text_.size()) {
-                    ok_ = false;
-                    return out;
-                }
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code |= static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code |= static_cast<unsigned>(h - 'A' + 10);
-                    else {
-                        ok_ = false;
-                        return out;
-                    }
-                }
-                // Reports only emit \u for control characters; wider
-                // code points round-trip as UTF-8 without escaping.
-                if (code < 0x80) {
-                    out.push_back(static_cast<char>(code));
-                } else {
-                    ok_ = false;
-                    return out;
-                }
-                break;
-              }
-              default:
-                ok_ = false;
-                return out;
-            }
-        }
-        ok_ = false;
-        return out;
-    }
-
-    Json
-    parseNumber()
-    {
-        const size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        auto digits = [this] {
-            const size_t before = pos_;
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_])))
-                ++pos_;
-            return pos_ != before;
-        };
-        if (!digits()) {
-            ok_ = false;
-            return Json();
-        }
-        if (pos_ < text_.size() && text_[pos_] == '.') {
-            ++pos_;
-            if (!digits()) {
-                ok_ = false;
-                return Json();
-            }
-        }
-        if (pos_ < text_.size() &&
-            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < text_.size() &&
-                (text_[pos_] == '+' || text_[pos_] == '-'))
-                ++pos_;
-            if (!digits()) {
-                ok_ = false;
-                return Json();
-            }
-        }
-        try {
-            return Json(std::stod(text_.substr(start, pos_ - start)));
-        } catch (const std::exception &) {
-            ok_ = false; // out-of-double-range literal
-            return Json();
-        }
-    }
-};
-
-} // namespace
-
-std::optional<Json>
-Json::parse(const std::string &text)
-{
-    return Parser(text).run();
 }
 
 } // namespace secproc::util

@@ -1,21 +1,21 @@
 /**
  * @file
- * Minimal JSON document model with a writer and a parser.
+ * Minimal JSON document model and writer.
  *
  * Backs the experiment subsystem's machine-readable results
- * (BENCH_<name>.json): reports are built as Json trees, dumped with
- * stable key order (objects preserve insertion order), and parsed
- * back for round-trip tests and downstream tooling. Numbers are
- * stored as doubles; integral values up to 2^53 round-trip exactly
- * and are printed without a decimal point, which covers every
- * counter the simulator produces.
+ * (BENCH_<name>.json): reports are built as Json trees and dumped
+ * with stable key order (objects preserve insertion order). Numbers
+ * are stored as doubles; integral values up to 2^53 are exact and
+ * are printed without a decimal point, which covers every counter
+ * the simulator produces. The library never reads JSON back: CI
+ * parses the emitted reports in Python, and the tests' round trips
+ * use the reader in tests/json_reader.hh.
  */
 
 #ifndef SECPROC_UTIL_JSON_HH
 #define SECPROC_UTIL_JSON_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,16 +29,6 @@ namespace secproc::util
 class Json
 {
   public:
-    enum class Type
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
     Json() = default;
     Json(bool v) : type_(Type::Bool), bool_(v) {}
     Json(double v) : type_(Type::Number), number_(v) {}
@@ -57,10 +47,7 @@ class Json
     static Json object();
     /** @} */
 
-    Type type() const { return type_; }
     bool isNull() const { return type_ == Type::Null; }
-    bool isNumber() const { return type_ == Type::Number; }
-    bool isString() const { return type_ == Type::String; }
     bool isArray() const { return type_ == Type::Array; }
     bool isObject() const { return type_ == Type::Object; }
 
@@ -92,21 +79,25 @@ class Json
     /** Object member access; panic() on missing keys. */
     const Json &at(const std::string &key) const;
 
-    /** Object members in insertion order. */
-    const std::vector<std::pair<std::string, Json>> &members() const;
-
     /**
      * Serialize. @p indent < 0 gives a compact single line;
      * otherwise pretty-print with that many spaces per level.
      */
     std::string dump(int indent = -1) const;
 
-    /** Parse a complete document; nullopt on malformed input. */
-    static std::optional<Json> parse(const std::string &text);
-
     bool operator==(const Json &other) const;
 
   private:
+    enum class Type
+    {
+        Null,
+        Bool,
+        Number,
+        String,
+        Array,
+        Object,
+    };
+
     Type type_ = Type::Null;
     bool bool_ = false;
     double number_ = 0.0;

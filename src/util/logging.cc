@@ -14,14 +14,12 @@ namespace secproc::util
 namespace
 {
 
-bool debug_enabled = false;
 std::mutex log_mutex;
 
 const char *
 levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::Debug: return "debug";
       case LogLevel::Info:  return "info";
       case LogLevel::Warn:  return "warn";
       case LogLevel::Error: return "error";
@@ -35,25 +33,13 @@ void
 logMessage(LogLevel level, const std::string &where, const std::string &msg)
 {
     std::lock_guard<std::mutex> guard(log_mutex);
-    if (level == LogLevel::Debug || level == LogLevel::Warn) {
+    if (level == LogLevel::Warn) {
         std::fprintf(stderr, "%s: %s (%s)\n", levelTag(level), msg.c_str(),
                      where.c_str());
     } else {
         std::fprintf(stderr, "%s: %s\n", levelTag(level), msg.c_str());
     }
     std::fflush(stderr);
-}
-
-void
-setDebugLogging(bool enabled)
-{
-    debug_enabled = enabled;
-}
-
-bool
-debugLoggingEnabled()
-{
-    return debug_enabled;
 }
 
 void

@@ -21,7 +21,6 @@ namespace secproc::util
 /** Severity levels understood by the message sink. */
 enum class LogLevel
 {
-    Debug,
     Info,
     Warn,
     Error,
@@ -36,12 +35,6 @@ enum class LogLevel
  */
 void logMessage(LogLevel level, const std::string &where,
                 const std::string &msg);
-
-/** Enable or disable Debug-level output at run time. */
-void setDebugLogging(bool enabled);
-
-/** @return true when Debug-level output is currently enabled. */
-bool debugLoggingEnabled();
 
 /**
  * Internal: terminate after an unrecoverable internal error.
@@ -98,16 +91,6 @@ concat(Args &&...args)
     ::secproc::util::logMessage(                                          \
         ::secproc::util::LogLevel::Info, SECPROC_WHERE_,                  \
         ::secproc::util::detail::concat(__VA_ARGS__))
-
-/** Verbose diagnostics, disabled unless setDebugLogging(true). */
-#define debugLog(...)                                                     \
-    do {                                                                  \
-        if (::secproc::util::debugLoggingEnabled()) {                     \
-            ::secproc::util::logMessage(                                  \
-                ::secproc::util::LogLevel::Debug, SECPROC_WHERE_,         \
-                ::secproc::util::detail::concat(__VA_ARGS__));            \
-        }                                                                 \
-    } while (0)
 
 /** panic() unless the stated invariant holds. */
 #define panic_if(cond, ...)                                               \

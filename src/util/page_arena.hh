@@ -46,7 +46,6 @@ class PageArena
     uint8_t *
     allocate()
     {
-        ++live_blocks_;
         if (!free_list_.empty()) {
             uint8_t *block = free_list_.back();
             free_list_.pop_back();
@@ -67,7 +66,6 @@ class PageArena
     release(uint8_t *block)
     {
         free_list_.push_back(block);
-        --live_blocks_;
     }
 
     /** Drop every slab; all outstanding blocks become invalid. */
@@ -77,11 +75,7 @@ class PageArena
         slabs_.clear();
         free_list_.clear();
         bump_ = 0;
-        live_blocks_ = 0;
     }
-
-    size_t blockBytes() const { return block_bytes_; }
-    size_t liveBlocks() const { return live_blocks_; }
 
     /** Bytes of slab memory held (live + recyclable). */
     size_t
@@ -96,7 +90,6 @@ class PageArena
     std::vector<std::unique_ptr<uint8_t[]>> slabs_;
     std::vector<uint8_t *> free_list_;
     size_t bump_ = 0;
-    size_t live_blocks_ = 0;
 };
 
 } // namespace secproc::util

@@ -182,20 +182,6 @@ class RadixArray
             });
     }
 
-    /** Bytes held by groups and the directory. */
-    size_t
-    bytesReserved() const
-    {
-        const size_t groups =
-            overflow_.size() +
-            static_cast<size_t>(std::count_if(
-                dense_.begin(), dense_.end(),
-                [](const auto &g) { return g != nullptr; }));
-        return groups * sizeof(Group) +
-               dense_.capacity() * sizeof(dense_[0]) +
-               overflow_.capacity() * sizeof(overflow_[0]);
-    }
-
   private:
     /** Group numbers below this live in the dense directory. */
     static constexpr uint64_t kDenseGroups = uint64_t{1} << 21;

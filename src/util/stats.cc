@@ -113,18 +113,4 @@ Histogram::reset()
     sum_ = 0.0;
 }
 
-void
-StatGroup::regCounter(const std::string &stat_name, const Counter *c)
-{
-    panic_if(!c, "null counter registered as ", stat_name);
-    counters_[stat_name] = c;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &[stat_name, c] : counters_)
-        os << name_ << '.' << stat_name << ' ' << c->value() << '\n';
-}
-
 } // namespace secproc::util

@@ -2,18 +2,16 @@
  * @file
  * Lightweight statistics primitives used by every simulation component.
  *
- * The design mirrors gem5's Stats package at a much smaller scale:
- * named counters register themselves with a StatGroup so components
- * can be dumped uniformly at the end of a run.
+ * Components own these by value and bind them by name into an
+ * obs::MetricsRegistry from their registerMetrics(); the registry is
+ * the one place dumps, measurement windows and JSON read them from.
  */
 
 #ifndef SECPROC_UTIL_STATS_HH
 #define SECPROC_UTIL_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 namespace secproc::util
@@ -55,7 +53,7 @@ class Accumulator
     double max_ = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, bucketWidth * bucketCount). */
+/** Fixed-bucket histogram over [0, bucket width * bucketCount). */
 class Histogram
 {
   public:
@@ -72,7 +70,6 @@ class Histogram
     uint64_t overflow() const { return overflow_; }
     uint64_t totalSamples() const { return total_; }
     size_t bucketCount() const { return buckets_.size(); }
-    double bucketWidth() const { return bucket_width_; }
     double mean() const;
 
     /**
@@ -100,37 +97,6 @@ class Histogram
     uint64_t overflow_ = 0;
     uint64_t total_ = 0;
     double sum_ = 0.0;
-};
-
-/**
- * A registry of named statistics owned by one component.
- *
- * Components hold their Counters by value and register pointers here;
- * the group never owns the statistics, it only knows how to print
- * them. Lifetime: the group must not outlive its registrants, which
- * holds because both live in the owning component.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void regCounter(const std::string &stat_name, const Counter *c);
-
-    /** Dump "group.stat value" lines, sorted by name. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-    /** Registered counters, for registry bridges. */
-    const std::map<std::string, const Counter *> &counters() const
-    {
-        return counters_;
-    }
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter *> counters_;
 };
 
 } // namespace secproc::util

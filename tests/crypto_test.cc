@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "crypto/aes128.hh"
@@ -616,18 +615,10 @@ TEST(Sha256, HardwareCompressMatchesScalar)
     }
 }
 
-/** SECPROC_SHA256=scalar pins the portable path process-wide. */
-TEST(Sha256, DispatchMatchesProbeUnlessForcedScalar)
+/** The dispatch follows the CPU probe and nothing else. */
+TEST(Sha256, DispatchMatchesProbe)
 {
-    // The dispatch latches on first use; the availability report
-    // must agree with the CPU probe unless the environment forced
-    // the scalar path.
-    const char *forced = getenv("SECPROC_SHA256");
-    if (forced != nullptr && std::string(forced) == "scalar")
-        EXPECT_FALSE(sha256HardwareAvailable());
-    else
-        EXPECT_EQ(sha256HardwareAvailable(),
-                  detail::sha256CpuHasShaNi());
+    EXPECT_EQ(sha256HardwareAvailable(), detail::sha256CpuHasShaNi());
 }
 
 TEST(Hmac, Rfc4231Case1)

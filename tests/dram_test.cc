@@ -1,14 +1,20 @@
 /**
  * @file
- * Unit and property tests for the banked DRAM timing model and its
+ * Unit and property tests for the banked DRAM timing model, its
  * integration into the memory channel (DRAM-sensitivity ablation
- * substrate).
+ * substrate) and the row-buffer counters a System reports.
  */
+
+#include <map>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "mem/dram.hh"
 #include "mem/memory_channel.hh"
+#include "sim/profiles.hh"
+#include "sim/system.hh"
 #include "util/random.hh"
 
 namespace
@@ -224,6 +230,59 @@ TEST(DramChannel, ResetRestoresColdState)
     EXPECT_EQ(channel.scheduleRead(0, Traffic::DataFill, false, 0),
               110u);
     EXPECT_EQ(channel.dram()->rowHits(), 0u);
+}
+
+/** dumpStats() text as name -> value. */
+std::map<std::string, std::string>
+dumpedMetrics(const secproc::sim::System &system)
+{
+    std::ostringstream dump;
+    system.dumpStats(dump);
+    std::istringstream lines(dump.str());
+    std::map<std::string, std::string> metrics;
+    std::string name, value;
+    while (lines >> name >> value)
+        metrics[name] = value;
+    return metrics;
+}
+
+TEST(DramChannel, SystemReportsRowBufferCounters)
+{
+    namespace sim = secproc::sim;
+    sim::SystemConfig config =
+        sim::paperConfig(secproc::secure::SecurityModel::OtpSnc);
+    config.channel.use_dram = true;
+    sim::SyntheticWorkload workload(sim::benchmarkProfile("mcf"),
+                                    config.l2.line_size);
+    sim::System system(config, workload);
+    system.run(30'000);
+
+    const DramModel *dram = system.channel().dram();
+    ASSERT_NE(dram, nullptr);
+    ASSERT_GT(dram->rowHits(), 0u);
+    ASSERT_GT(dram->rowMisses() + dram->rowConflicts(), 0u);
+    const auto metrics = dumpedMetrics(system);
+    const std::pair<const char *, uint64_t> expected[] = {
+        {"dram.row_hits", dram->rowHits()},
+        {"dram.row_misses", dram->rowMisses()},
+        {"dram.row_conflicts", dram->rowConflicts()},
+    };
+    for (const auto &[name, value] : expected) {
+        const auto it = metrics.find(name);
+        ASSERT_NE(it, metrics.end()) << name << " missing from the dump";
+        EXPECT_EQ(it->second, std::to_string(value)) << name;
+    }
+
+    // A flat channel has no row buffers to report.
+    const sim::SystemConfig flat_config =
+        sim::paperConfig(secproc::secure::SecurityModel::OtpSnc);
+    sim::SyntheticWorkload flat_workload(sim::benchmarkProfile("mcf"),
+                                         flat_config.l2.line_size);
+    sim::System flat(flat_config, flat_workload);
+    flat.run(30'000);
+    ASSERT_EQ(flat.channel().dram(), nullptr);
+    for (const auto &[name, value] : dumpedMetrics(flat))
+        EXPECT_NE(name.rfind("dram.", 0), 0u) << name;
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "exp/cell_cache.hh"
 #include "exp/cli.hh"
 #include "exp/runner.hh"
+#include "json_reader.hh"
 #include "sim/profiles.hh"
 #include "util/json.hh"
 #include "util/strutil.hh"
@@ -199,7 +200,7 @@ TEST(Json, RoundTripPreservesStructure)
 
     for (const int indent : {-1, 2}) {
         const std::string text = doc.dump(indent);
-        const auto parsed = util::Json::parse(text);
+        const auto parsed = test::parseJson(text);
         ASSERT_TRUE(parsed.has_value()) << text;
         EXPECT_TRUE(*parsed == doc) << text;
     }
@@ -207,20 +208,20 @@ TEST(Json, RoundTripPreservesStructure)
 
 TEST(Json, ParserRejectsMalformedInput)
 {
-    EXPECT_FALSE(util::Json::parse("").has_value());
-    EXPECT_FALSE(util::Json::parse("{").has_value());
-    EXPECT_FALSE(util::Json::parse("[1,]").has_value());
-    EXPECT_FALSE(util::Json::parse("{\"a\":1,}").has_value());
-    EXPECT_FALSE(util::Json::parse("\"unterminated").has_value());
-    EXPECT_FALSE(util::Json::parse("nul").has_value());
-    EXPECT_FALSE(util::Json::parse("1 2").has_value());
-    EXPECT_FALSE(util::Json::parse("1e999").has_value());
-    EXPECT_FALSE(util::Json::parse("{\"a\" 1}").has_value());
+    EXPECT_FALSE(test::parseJson("").has_value());
+    EXPECT_FALSE(test::parseJson("{").has_value());
+    EXPECT_FALSE(test::parseJson("[1,]").has_value());
+    EXPECT_FALSE(test::parseJson("{\"a\":1,}").has_value());
+    EXPECT_FALSE(test::parseJson("\"unterminated").has_value());
+    EXPECT_FALSE(test::parseJson("nul").has_value());
+    EXPECT_FALSE(test::parseJson("1 2").has_value());
+    EXPECT_FALSE(test::parseJson("1e999").has_value());
+    EXPECT_FALSE(test::parseJson("{\"a\" 1}").has_value());
 }
 
 TEST(Json, ParsesStandardDocuments)
 {
-    const auto doc = util::Json::parse(
+    const auto doc = test::parseJson(
         "  {\"a\": [1, 2.5, -3e2, true, false, null], "
         "\"b\": {\"nested\": \"x\\u0041y\"}} ");
     ASSERT_TRUE(doc.has_value());
@@ -315,7 +316,7 @@ TEST(Report, JsonDocumentRoundTripsAndMatchesCells)
     const exp::Report report = exp::Runner(options).run(spec);
 
     const util::Json doc = report.toJson();
-    const auto parsed = util::Json::parse(doc.dump(2));
+    const auto parsed = test::parseJson(doc.dump(2));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_TRUE(*parsed == doc);
 

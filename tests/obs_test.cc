@@ -11,9 +11,13 @@
  * it.
  */
 
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "crypto/latency.hh"
+#include "crypto/sha.hh"
+#include "json_reader.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "ota/transport.hh"
@@ -24,6 +28,7 @@
 #include "update/update_engine.hh"
 #include "util/json.hh"
 #include "util/stats.hh"
+#include "util/strutil.hh"
 
 namespace
 {
@@ -135,7 +140,7 @@ TEST(Trace, ChromeJsonShape)
     // The export must survive a parse round trip and carry the
     // Chrome trace-event fields Perfetto keys on.
     const std::string text = sink.toChromeJson().dump(2);
-    const std::optional<util::Json> parsed = util::Json::parse(text);
+    const std::optional<util::Json> parsed = test::parseJson(text);
     ASSERT_TRUE(parsed.has_value());
     const util::Json &events = parsed->at("traceEvents");
     ASSERT_TRUE(events.isArray());
@@ -350,6 +355,64 @@ TEST(Metrics, SystemStatsMatchRegistrySnapshot)
     EXPECT_EQ(stats.l2_accesses, window.u64("l2.accesses"));
     EXPECT_EQ(stats.data_bytes, window.u64("channel.data_bytes"));
     EXPECT_EQ(stats.seqnum_bytes, window.u64("channel.seqnum_bytes"));
+}
+
+/**
+ * The whole dumpStats() text of the paper's four machines on two
+ * benchmarks, pinned by its SHA-256: a metric renamed, dropped, added
+ * or valued differently by a change to how components register their
+ * counters shows up here. Run lengths are fixed in the test, not read
+ * from SECPROC_WARMUP/SECPROC_MEASURE, so every build pins one text.
+ */
+TEST(Metrics, SystemDumpIsPinned)
+{
+    struct Pin
+    {
+        const char *bench;
+        const char *machine;
+        const char *sha256;
+    };
+    static const Pin kPins[] = {
+        {"gcc", "baseline",
+         "96ba7dad7a2682ed0b1b7924c5196b7d0dc9960b08968ca7de0841d1d3caebee"},
+        {"gcc", "xom",
+         "c2b0f5bb71bf47cbde2e49f980ac4afd7e89bafc854fbbb3cba699084b391c0f"},
+        {"gcc", "otp",
+         "eff6bda80682a0c0ae98fe2df69465c85bce1eff2c2e2880f69e6e96419004eb"},
+        {"gcc", "otp-norepl",
+         "92c4fa336c6e9b77f8e4b451ab686015adbd5fd993cae7bee8c5e51c484a5bf1"},
+        {"mcf", "baseline",
+         "d64eb516aa1f0f1986d8e3f517ebf0271c02241f4fc7bd099c8d666a29d7f180"},
+        {"mcf", "xom",
+         "3f82bca1cc7000941b751f8fea9fd28c154e58248b2fb2bf9cf3f67a5c818098"},
+        {"mcf", "otp",
+         "1889b649824d8239e35ef3c14d11c44e7415bae1ccdde18ddecc9f2016d6bfe9"},
+        {"mcf", "otp-norepl",
+         "60bb0646d51d864a67bb1450d4c140d3a59e08d5738827e1f28b030260372726"},
+    };
+    for (const Pin &pin : kPins) {
+        const std::string machine = pin.machine;
+        sim::SystemConfig config = sim::paperConfig(
+            machine == "baseline" ? secure::SecurityModel::Baseline
+            : machine == "xom"    ? secure::SecurityModel::Xom
+                                  : secure::SecurityModel::OtpSnc);
+        config.protection.snc.allow_replacement = machine != "otp-norepl";
+        sim::SyntheticWorkload workload(sim::benchmarkProfile(pin.bench),
+                                        config.l2.line_size);
+        sim::System system(config, workload);
+        system.run(20'000);
+        system.beginMeasurement();
+        system.run(60'000);
+
+        std::ostringstream dump;
+        system.dumpStats(dump);
+        const std::string text = dump.str();
+        const auto digest = crypto::Sha256::digest(
+            reinterpret_cast<const uint8_t *>(text.data()), text.size());
+        EXPECT_EQ(util::toHex(digest.data(), digest.size()), pin.sha256)
+            << pin.bench << " on " << machine << " dumped:\n"
+            << text;
+    }
 }
 
 } // namespace

@@ -462,20 +462,6 @@ TEST(Stats, HistogramMergeRejectsMismatchedGeometry)
     EXPECT_DEATH_IF_SUPPORTED(h.merge(wrong_count), "geometry");
 }
 
-TEST(Stats, StatGroupDump)
-{
-    Counter hits, misses;
-    hits += 10;
-    misses += 2;
-    StatGroup group("l2");
-    group.regCounter("hits", &hits);
-    group.regCounter("misses", &misses);
-    std::ostringstream os;
-    group.dump(os);
-    EXPECT_NE(os.str().find("l2.hits 10"), std::string::npos);
-    EXPECT_NE(os.str().find("l2.misses 2"), std::string::npos);
-}
-
 // ---------------------------------------------------------------- strutil
 
 TEST(StrUtil, FormatDouble)

@@ -23,6 +23,7 @@
 #include "mem/main_memory.hh"
 #include "mem/memory_channel.hh"
 #include "mem/virtual_memory.hh"
+#include "obs/metrics.hh"
 #include "secure/engines.hh"
 #include "sim/profiles.hh"
 #include "sim/system.hh"
@@ -191,11 +192,13 @@ warmedLines(const std::vector<TaskSpec> &tasks, uint32_t line,
 std::vector<std::pair<std::string, uint64_t>>
 counters(const secure::ProtectionEngine &engine)
 {
-    util::StatGroup group("engine");
-    engine.regStats(group);
+    obs::MetricsRegistry reg;
+    engine.registerMetrics(reg, "engine");
+    const obs::MetricsSnapshot snapshot = reg.snapshot();
     std::vector<std::pair<std::string, uint64_t>> values;
-    for (const auto &[name, counter] : group.counters())
-        values.emplace_back(name, counter->value());
+    for (const obs::MetricsSnapshot::Entry &entry : snapshot.entries())
+        values.emplace_back(entry.name,
+                            static_cast<uint64_t>(entry.value));
     return values;
 }
 
