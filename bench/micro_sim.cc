@@ -137,8 +137,8 @@ benchMainMemoryLine(benchmark::State &state)
 void
 benchVmTranslate(benchmark::State &state)
 {
-    // Micro-TLB + radix page-table walk mix (arg = footprint pages;
-    // 256 fits the TLB, larger values force walk-heavy traffic).
+    // Radix page-table walk (arg = footprint pages; 256 pages sit in
+    // one radix group, 16384 spread over 32 groups).
     mem::VirtualMemory vm;
     const uint64_t pages = static_cast<uint64_t>(state.range(0));
     for (uint64_t p = 0; p < pages; ++p)

@@ -13,19 +13,15 @@
  *
  * Layout: each ASID owns a radix page table (util::RadixArray vpn ->
  * frame) and a sorted interval vector of regions with binary-search
- * lookup; a small direct-mapped micro-TLB in front caches the
- * translation and — when the whole page carries one attribute — the
- * RegionKind alongside it. The TLB is flushed on every addRegion /
- * share / rebase: the paper's virtual-address seeding makes a stale
- * translation or attribute a *security* bug, not just a wrong
- * number, so `SECPROC_TLB_VERIFY=1` re-walks the structures on every
- * hit and dies on any divergence.
+ * lookup. They are the only copies of a translation and of a region
+ * attribute: the paper's virtual-address seeding makes a stale second
+ * copy a *security* bug (a wrong pad, or a protected line treated as
+ * plaintext), not just a wrong number.
  */
 
 #ifndef SECPROC_MEM_VIRTUAL_MEMORY_HH
 #define SECPROC_MEM_VIRTUAL_MEMORY_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -65,8 +61,6 @@ class VirtualMemory
   public:
     static constexpr uint64_t kPageSize = 4096;
 
-    VirtualMemory();
-
     /**
      * Translate, allocating a fresh frame on first touch.
      * @return physical address.
@@ -82,6 +76,13 @@ class VirtualMemory
      * regionKind(). Overlapping regions are a caller error (fatal).
      */
     void addRegion(Asid asid, const Region &region);
+
+    /**
+     * Remove the region of @p asid that starts at @p start; its range
+     * reverts to RegionKind::Protected. No region starting there is a
+     * caller error (fatal).
+     */
+    void removeRegion(Asid asid, uint64_t start);
 
     /**
      * Alias @p vaddr_b in @p asid_b to the same frames as
@@ -108,72 +109,20 @@ class VirtualMemory
     /** Frames allocated so far. */
     uint64_t allocatedFrames() const { return next_frame_; }
 
-    /** Micro-TLB counters (hits include cached-kind hits). @{ */
-    uint64_t tlbHits() const { return tlb_hits_; }
-    uint64_t tlbMisses() const { return tlb_misses_; }
-    /** @} */
-
   private:
-    static constexpr size_t kTlbEntries = 256;
-
-    /**
-     * Direct-mapped TLB entry. Full vpn+asid tags (no truncation:
-     * vpns can exceed 48 bits). kind is valid only when the whole
-     * page carries one attribute; pages straddling a region boundary
-     * always re-walk the interval vector.
-     */
-    struct TlbEntry
-    {
-        uint64_t vpn = ~uint64_t{0};
-        uint64_t frame = 0;
-        Asid asid = 0;
-        bool kind_valid = false;
-        RegionKind kind = RegionKind::Protected;
-    };
-
     struct AddressSpace
     {
         util::RadixArray<uint64_t> frames; ///< vpn -> frame
         std::vector<Region> regions;       ///< sorted by start
     };
 
-    static size_t
-    tlbIndex(Asid asid, uint64_t vpn)
-    {
-        return static_cast<size_t>(vpn ^ asid) & (kTlbEntries - 1);
-    }
-
     AddressSpace *findSpace(Asid asid) const;
     AddressSpace &touchSpace(Asid asid);
-
-    /**
-     * Region attribute at @p vaddr plus the bounds of the uniform
-     * interval containing it (region extent, or the gap between
-     * regions), for page-uniformity checks.
-     */
-    RegionKind regionLookup(const AddressSpace *space, uint64_t vaddr,
-                            uint64_t *interval_start,
-                            uint64_t *interval_end) const;
-
-    /** Fill @p entry for (asid, vpn); kind cached when uniform. */
-    void fillTlb(TlbEntry &entry, Asid asid, uint64_t vpn,
-                 uint64_t frame) const;
-
-    /** Drop every TLB entry (region/mapping change). */
-    void flushTlb() const;
-
-    /** SECPROC_TLB_VERIFY=1: die if @p entry disagrees with a walk. */
-    void verifyTlbEntry(const TlbEntry &entry) const;
 
     uint64_t allocateFrame() { return next_frame_++; }
 
     std::vector<std::unique_ptr<AddressSpace>> spaces_; ///< by asid
     uint64_t next_frame_ = 1; // frame 0 reserved
-
-    mutable std::array<TlbEntry, kTlbEntries> tlb_{};
-    mutable uint64_t tlb_hits_ = 0;
-    mutable uint64_t tlb_misses_ = 0;
-    bool verify_tlb_ = false;
 };
 
 } // namespace secproc::mem

@@ -211,21 +211,6 @@ class OtpEngine : public ProtectionEngine
 
     /** Pre-generate the pad for the line after @p line_va. */
     void predictNextPad(uint64_t line_va, bool ifetch, uint64_t cycle);
-
-    /**
-     * Functional-plane pad memo. A pad is a pure function of the
-     * active compartment's key and the (address, seqnum) seed, and
-     * read-mostly lines are refetched under unchanged sequence
-     * numbers, so most fills can reuse the pad from the previous
-     * visit instead of re-running the block cipher. Purely a host
-     * optimization: the cycle plane still charges every pad through
-     * the CryptoEngineModel, and the XOR result is identical.
-     */
-    const std::vector<uint8_t> &cachedPad(uint64_t seed,
-                                          size_t len) const;
-    static constexpr size_t kPadCacheEntries = 1 << 16;
-    mutable util::FlatMap<std::vector<uint8_t>> pad_cache_;
-    mutable CompartmentId pad_cache_compartment_ = 0;
 };
 
 } // namespace secproc::secure

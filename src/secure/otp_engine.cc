@@ -470,12 +470,11 @@ OtpEngine::applyFill(const FillPlan &plan,
       case LineCipherState::Direct:
         crypto::ecbDecrypt(activeCipher(), bytes.data(), bytes.size());
         return;
-      case LineCipherState::Otp: {
-        const std::vector<uint8_t> &pad = cachedPad(
-            makeSeed(plan.line_va, plan.seqnum), bytes.size());
-        crypto::xorPad(bytes.data(), pad.data(), bytes.size());
+      case LineCipherState::Otp:
+        crypto::otpTransform(activeCipher(),
+                             makeSeed(plan.line_va, plan.seqnum),
+                             bytes.data(), bytes.size());
         return;
-      }
     }
 }
 
@@ -490,34 +489,12 @@ OtpEngine::applyEvict(const EvictPlan &plan,
       case LineCipherState::Direct:
         crypto::ecbEncrypt(activeCipher(), bytes.data(), bytes.size());
         return;
-      case LineCipherState::Otp: {
-        const std::vector<uint8_t> &pad = cachedPad(
-            makeSeed(plan.line_va, plan.seqnum), bytes.size());
-        crypto::xorPad(bytes.data(), pad.data(), bytes.size());
+      case LineCipherState::Otp:
+        crypto::otpTransform(activeCipher(),
+                             makeSeed(plan.line_va, plan.seqnum),
+                             bytes.data(), bytes.size());
         return;
-      }
     }
-}
-
-const std::vector<uint8_t> &
-OtpEngine::cachedPad(uint64_t seed, size_t len) const
-{
-    if (pad_cache_compartment_ != compartment()) {
-        pad_cache_.clear();
-        pad_cache_compartment_ = compartment();
-    }
-    if (const std::vector<uint8_t> *hit = pad_cache_.find(seed)) {
-        if (hit->size() == len)
-            return *hit;
-    }
-    // Crude bound: drop everything rather than track recency — the
-    // memo is a pure-function cache, so eviction cannot change any
-    // result, only cost a regeneration.
-    if (pad_cache_.size() >= kPadCacheEntries)
-        pad_cache_.clear();
-    std::vector<uint8_t> pad(len);
-    crypto::generatePad(activeCipher(), seed, pad.data(), len);
-    return pad_cache_.insert(seed, std::move(pad));
 }
 
 std::optional<uint64_t>

@@ -543,9 +543,11 @@ System::stats() const
     stats.seqnum_bytes = window.u64("channel.seqnum_bytes");
     // Fill and SNC counts report whole-run absolutes, not window
     // deltas (Figure 5/9 consumers want totals).
-    stats.fast_fills = now.u64("engine.fast_fills");
-    stats.slow_fills = now.u64("engine.slow_fills");
-    stats.snc_query_misses = now.u64("snc.query_misses");
+    stats.fast_fills = engine_->fastFills();
+    stats.slow_fills = engine_->slowFills();
+    const auto *otp =
+        dynamic_cast<const secure::OtpEngine *>(engine_.get());
+    stats.snc_query_misses = otp == nullptr ? 0 : otp->snc().queryMisses();
     return stats;
 }
 
@@ -628,28 +630,12 @@ System::registerMetrics(obs::MetricsRegistry &reg) const
         return static_cast<double>(crypto->busyUntil());
     });
 
-    // Model-independent protection-engine anchors (the engine's own
-    // counters above are prefixed with the model's name).
-    const secure::ProtectionEngine *eng = engine_.get();
-    reg.counterFn("engine.fast_fills",
-                  [eng] { return eng->fastFills(); });
-    reg.counterFn("engine.slow_fills",
-                  [eng] { return eng->slowFills(); });
-    reg.counterFn("snc.query_misses", [eng]() -> uint64_t {
-        const auto *otp =
-            dynamic_cast<const secure::OtpEngine *>(eng);
-        return otp == nullptr ? 0 : otp->snc().queryMisses();
-    });
-
     reg.counterFn("sys.context_switches",
                   [this] { return context_switches_; });
     reg.counterFn("sys.switch_flush_spills",
                   [this] { return switch_spills_; });
 
-    // Memory plane: micro-TLB effectiveness and flat-store footprint.
-    const mem::VirtualMemory *vm = &vm_;
-    reg.counterFn("mem.tlb.hits", [vm] { return vm->tlbHits(); });
-    reg.counterFn("mem.tlb.misses", [vm] { return vm->tlbMisses(); });
+    // Memory plane: flat-store footprint.
     const mem::MainMemory *memory = &memory_;
     reg.counterFn("mem.pages_resident", [memory] {
         return static_cast<uint64_t>(memory->residentPages());

@@ -1,10 +1,10 @@
 /**
  * @file
  * Open-addressing hash map for the simulator's hot tables keyed by
- * scattered uint64 values: the OTP engine's pad-prediction buffer and
- * pad memo, both keyed by pad seed. Tables keyed by line or page
- * index (cache directories, sequence-number and line-state tables)
- * use util::RadixArray instead, whose groups keep sequential runs
+ * scattered uint64 values: the OTP engine's pad-prediction buffer,
+ * keyed by pad seed. Tables keyed by line or page index (cache
+ * directories, sequence-number and line-state tables) use
+ * util::RadixArray instead, whose groups keep sequential runs
  * together.
  *
  * std::unordered_map's node allocation and pointer chasing dominate

@@ -33,6 +33,15 @@ SecureLoader::load(const ProgramImage &image,
     }
     keys_.install(compartment, image.cipher, *key);
 
+    // Retire the replaced image's plaintext regions: left in place,
+    // one would exempt whatever the new image puts at its range from
+    // decryption, and one at an unchanged address would overlap.
+    std::vector<uint64_t> &plaintext =
+        plaintext_starts_[{asid, compartment}];
+    for (const uint64_t start : plaintext)
+        vm.removeRegion(asid, start);
+    plaintext.clear();
+
     // Place ciphertext sections into untrusted memory and register
     // line states with the engine.
     const uint32_t line = image.line_size;
@@ -47,6 +56,7 @@ SecureLoader::load(const ProgramImage &image,
                                      section.vaddr +
                                          section.bytes.size(),
                                      mem::RegionKind::Plaintext});
+            plaintext.push_back(section.vaddr);
         }
         for (uint64_t off = 0; off < section.bytes.size();
              off += line) {

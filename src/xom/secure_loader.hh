@@ -13,8 +13,11 @@
 #ifndef SECPROC_XOM_SECURE_LOADER_HH
 #define SECPROC_XOM_SECURE_LOADER_HH
 
+#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/rsa.hh"
 #include "mem/main_memory.hh"
@@ -62,6 +65,10 @@ class SecureLoader
      * @param engine Protection engine to register line states with.
      * @return success/failure; failure leaves no key installed
      *         (wrong processor, tampered capsule).
+     *
+     * A successful load replaces the image this loader last loaded
+     * into (@p asid, @p compartment): that image's plaintext regions
+     * are removed from @p vm before the new sections are placed.
      */
     LoadResult load(const ProgramImage &image,
                     secure::CompartmentId compartment,
@@ -82,6 +89,11 @@ class SecureLoader
   private:
     crypto::RsaPrivateKey processor_key_;
     secure::KeyTable &keys_;
+
+    /** Starts of the plaintext regions each loaded image registered. */
+    std::map<std::pair<mem::Asid, secure::CompartmentId>,
+             std::vector<uint64_t>>
+        plaintext_starts_;
 };
 
 } // namespace secproc::xom

@@ -374,21 +374,21 @@ TEST(Metrics, SystemDumpIsPinned)
     };
     static const Pin kPins[] = {
         {"gcc", "baseline",
-         "96ba7dad7a2682ed0b1b7924c5196b7d0dc9960b08968ca7de0841d1d3caebee"},
+         "642a7fb95b30a84d9ead78ce765a57c6306932b2aaa975760b61cbf5b94b267e"},
         {"gcc", "xom",
-         "c2b0f5bb71bf47cbde2e49f980ac4afd7e89bafc854fbbb3cba699084b391c0f"},
+         "be7f09874931849e9fafc2693b635222639a20bb08dfd431b4602d1e221cbe36"},
         {"gcc", "otp",
-         "eff6bda80682a0c0ae98fe2df69465c85bce1eff2c2e2880f69e6e96419004eb"},
+         "0159e614f1f5033bb8165e3be133adda113ec3e58cc1180b892214e7cbc2a86e"},
         {"gcc", "otp-norepl",
-         "92c4fa336c6e9b77f8e4b451ab686015adbd5fd993cae7bee8c5e51c484a5bf1"},
+         "a49b0a0114ae46ede6b0e71ea035b8ee38b054e4fe750c7216d9f73339c18f02"},
         {"mcf", "baseline",
-         "d64eb516aa1f0f1986d8e3f517ebf0271c02241f4fc7bd099c8d666a29d7f180"},
+         "94d8230c5b94bce9b46a39c73054397cbe0a734e1da9ea14cc64e5aabf4497c9"},
         {"mcf", "xom",
-         "3f82bca1cc7000941b751f8fea9fd28c154e58248b2fb2bf9cf3f67a5c818098"},
+         "a0f9bb601e2cc0ca7599b9014abc4d40eb6b6be217ab604ad2e60c0012d2e502"},
         {"mcf", "otp",
-         "1889b649824d8239e35ef3c14d11c44e7415bae1ccdde18ddecc9f2016d6bfe9"},
+         "632d7682e1b8427c9f034bf768c2096b2426dce29da82769f12710b311cc99cc"},
         {"mcf", "otp-norepl",
-         "60bb0646d51d864a67bb1450d4c140d3a59e08d5738827e1f28b030260372726"},
+         "fcc23f70ce9ffb1fe61adb42af01792669d3920974e65492f0420e6830f11816"},
     };
     for (const Pin &pin : kPins) {
         const std::string machine = pin.machine;

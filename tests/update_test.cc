@@ -76,6 +76,14 @@ struct Vendor
             uint64_t counter, const std::string &title = "firmware",
             const Digest &base_digest = {})
     {
+        return build(program(version, title), processor, version,
+                     counter, base_digest);
+    }
+
+    /** release()'s plaintext program: .text and .data. */
+    xom::PlainProgram
+    program(uint32_t version, const std::string &title = "firmware")
+    {
         xom::PlainProgram program;
         program.title = title;
         program.entry_point = 0x400000;
@@ -92,7 +100,14 @@ struct Vendor
         data.bytes.resize(2 * kLine,
                           static_cast<uint8_t>(version));
         program.sections = {text, data};
+        return program;
+    }
 
+    UpdateBundle
+    build(const xom::PlainProgram &program,
+          const crypto::RsaPublicKey &processor, uint32_t version,
+          uint64_t counter, const Digest &base_digest = {})
+    {
         UpdateSpec spec;
         spec.image_version = version;
         spec.rollback_counter = counter;
@@ -139,11 +154,18 @@ TEST(UpdateRoundTrip, SequentialUpdatesAlternateSlots)
     Vendor vendor(3);
     Device device(4, vendor.builder.publicKey());
 
+    xom::SecureLoader loader(device.processor.priv, device.keys);
+    auto fetch_text = [&] {
+        return loader.fetchLine(0x400000 + 2 * kLine, device.memory,
+                                device.vm, 1, *device.engine, true);
+    };
+
     const auto v1 = device.updater->install(
         vendor.release(device.processor.pub, 1, 1), 1, device.memory,
         device.vm, 1, *device.engine);
     ASSERT_TRUE(v1.ok()) << v1.detail;
     EXPECT_EQ(v1.slot, 0u);
+    EXPECT_EQ(fetch_text(), std::vector<uint8_t>(kLine, 0xC0 + 1));
 
     const auto v2 = device.updater->install(
         vendor.release(device.processor.pub, 2, 2), 1, device.memory,
@@ -152,12 +174,88 @@ TEST(UpdateRoundTrip, SequentialUpdatesAlternateSlots)
     EXPECT_EQ(v2.slot, 1u) << "second install lands in slot B";
     EXPECT_EQ(device.rollback.current("firmware"), 2u);
 
-    // The new text is what fetches decrypt to now.
-    xom::SecureLoader loader(device.processor.priv, device.keys);
-    const auto line =
-        loader.fetchLine(0x400000 + 2 * kLine, device.memory,
-                         device.vm, 1, *device.engine, true);
-    EXPECT_EQ(line, std::vector<uint8_t>(kLine, 0xC0 + 2));
+    // The new text is what fetches decrypt to now: v2 re-keyed the
+    // compartment, so a pad made under v1's key must not be reused
+    // for a line whose address and sequence number did not change.
+    EXPECT_EQ(fetch_text(), std::vector<uint8_t>(kLine, 0xC0 + 2));
+}
+
+TEST(UpdateRoundTrip, PlaintextSectionsFollowTheImage)
+{
+    constexpr uint64_t kText = 0x400000;
+    constexpr uint64_t kLibA = 0x700000;
+    constexpr uint64_t kLibB = 0x800000;
+    constexpr uint64_t kLibBytes = 4 * kLine;
+
+    // One device per case, each installing v1 and then v2 into
+    // compartment 1 / asid 1; each release carries a shared library.
+    struct Case
+    {
+        Vendor vendor{80};
+        Device device{81, vendor.builder.publicKey()};
+
+        InstallResult
+        install(uint32_t version, uint64_t text_vaddr, uint64_t lib_vaddr)
+        {
+            xom::PlainProgram program = vendor.program(version);
+            program.sections[0].vaddr = text_vaddr;
+            xom::PlainProgram::PlainSection lib;
+            lib.name = ".lib";
+            lib.vaddr = lib_vaddr;
+            lib.bytes.assign(kLibBytes, 0x5A);
+            lib.shared = true;
+            program.sections.push_back(lib);
+            return device.updater->install(
+                vendor.build(program, device.processor.pub, version,
+                             version),
+                1, device.memory, device.vm, 1, *device.engine);
+        }
+
+        mem::RegionKind
+        kind(uint64_t vaddr) const
+        {
+            return device.vm.regionKind(1, vaddr);
+        }
+    };
+
+    {
+        SCOPED_TRACE("text moved over the old library range");
+        Case c;
+        ASSERT_TRUE(c.install(1, kText, kLibA).ok());
+        ASSERT_TRUE(c.install(2, kLibA, kLibB).ok());
+        // v2's text line 2 lies inside v1's library range; a stale
+        // Plaintext attribute would hand back the ciphertext.
+        xom::SecureLoader loader(c.device.processor.priv,
+                                 c.device.keys);
+        EXPECT_EQ(loader.fetchLine(kLibA + 2 * kLine, c.device.memory,
+                                   c.device.vm, 1, *c.device.engine,
+                                   true),
+                  std::vector<uint8_t>(kLine, 0xC0 + 2));
+    }
+    {
+        SCOPED_TRACE("library moved");
+        Case c;
+        ASSERT_TRUE(c.install(1, kText, kLibA).ok());
+        ASSERT_TRUE(c.install(2, kText, kLibB).ok());
+        EXPECT_EQ(c.kind(kLibA), mem::RegionKind::Protected);
+        EXPECT_EQ(c.kind(kLibA + kLibBytes - 1),
+                  mem::RegionKind::Protected);
+        EXPECT_EQ(c.kind(kLibB), mem::RegionKind::Plaintext);
+        EXPECT_EQ(c.kind(kLibB + kLibBytes - 1),
+                  mem::RegionKind::Plaintext);
+    }
+    {
+        SCOPED_TRACE("same layout installed twice");
+        Case c;
+        ASSERT_TRUE(c.install(1, kText, kLibA).ok());
+        const InstallResult v2 = c.install(2, kText, kLibA);
+        ASSERT_TRUE(v2.ok()) << v2.detail;
+        EXPECT_EQ(v2.slot, 1u);
+        EXPECT_EQ(c.kind(kLibA), mem::RegionKind::Plaintext);
+        EXPECT_EQ(c.kind(kLibA + kLibBytes - 1),
+                  mem::RegionKind::Plaintext);
+        EXPECT_EQ(c.kind(kLibA + kLibBytes), mem::RegionKind::Protected);
+    }
 }
 
 TEST(UpdateRoundTrip, BundleSerializationRoundTrips)
