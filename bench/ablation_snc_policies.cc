@@ -1,10 +1,8 @@
 /**
  * @file
- * Ablation A4: SNC design-space sweep — sequence number width
- * (1/2/4 bytes at fixed 64KB capacity trades coverage against
- * overflow re-encryption epochs) and replacement policy variants
- * (LRU vs FIFO vs Random), extending the paper's LRU/no-replacement
- * comparison.
+ * Ablation A4: SNC sequence-number width — 1/2/4-byte entries at a
+ * fixed 64KB capacity trade coverage against overflow re-encryption
+ * epochs.
  */
 
 #include <iostream>

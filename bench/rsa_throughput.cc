@@ -2,8 +2,8 @@
  * @file
  * RSA throughput grid: key size x operation x engine, on the
  * declarative experiment API. The "fast" engine is the production
- * path (Karatsuba + windowed CIOS Montgomery modExp with the per-key
- * cached MontgomeryCtx); the "schoolbook" engine is the retained
+ * path (windowed CIOS Montgomery modExp with the per-key cached
+ * MontgomeryCtx); the "schoolbook" engine is the retained
  * pre-optimization reference (schoolbook multiply, bit-at-a-time
  * division, binary square-and-multiply). Cells report operations per
  * second; synthetic "speedup-<bits>" cells carry the fast/schoolbook

@@ -2,14 +2,14 @@
  * @file
  * BigInt implementation.
  *
- * Multiplication dispatches between a schoolbook inner loop and
- * Karatsuba recursion; division is Knuth Algorithm D (TAOCP vol. 2,
- * 4.3.1) over 64-bit limbs; modular exponentiation for odd moduli
- * runs a 4-bit window over one CIOS Montgomery kernel on raw k-limb
- * arrays (montMul<K>: constant widths up to kMaxConstantWidth, a
- * run-time width above), and key generation's Miller-Rabin rounds
- * run on the same kernel without leaving the Montgomery domain. The
- * pre-optimization algorithms survive as the *Schoolbook reference
+ * Multiplication is the schoolbook product over 64-bit limbs;
+ * division is Knuth Algorithm D (TAOCP vol. 2, 4.3.1) over the same
+ * limbs; modular exponentiation for odd moduli runs a 4-bit window
+ * over one CIOS Montgomery kernel on raw k-limb arrays (montMul<K>:
+ * constant widths up to kMaxConstantWidth, a run-time width above),
+ * and key generation's Miller-Rabin rounds run on the same kernel
+ * without leaving the Montgomery domain. The pre-optimization
+ * division and exponentiation survive as the *Schoolbook reference
  * methods used by the differential tests and the rsa_throughput
  * bench's "schoolbook" engine.
  */
@@ -83,29 +83,9 @@ shl1InPlace(Limbs &a, bool carry_in)
         a.push_back(1);
 }
 
-/** dst += src * 2^(64*offset); dst must be large enough. */
-void
-addShifted(Limbs &dst, const Limbs &src, size_t offset)
-{
-    uint64_t carry = 0;
-    size_t i = 0;
-    for (; i < src.size(); ++i) {
-        const __uint128_t sum =
-            static_cast<__uint128_t>(dst[offset + i]) + src[i] + carry;
-        dst[offset + i] = static_cast<uint64_t>(sum);
-        carry = static_cast<uint64_t>(sum >> 64);
-    }
-    for (; carry != 0; ++i) {
-        const __uint128_t sum =
-            static_cast<__uint128_t>(dst[offset + i]) + carry;
-        dst[offset + i] = static_cast<uint64_t>(sum);
-        carry = static_cast<uint64_t>(sum >> 64);
-    }
-}
-
 /** Schoolbook product; inputs need not be normalized. */
 Limbs
-mulSchoolbookLimbs(const Limbs &a, const Limbs &b)
+mulLimbs(const Limbs &a, const Limbs &b)
 {
     if (a.empty() || b.empty())
         return {};
@@ -121,62 +101,6 @@ mulSchoolbookLimbs(const Limbs &a, const Limbs &b)
         }
         out[i + b.size()] += carry;
     }
-    trimLimbs(out);
-    return out;
-}
-
-/** Sum as a fresh vector (never underflows). */
-Limbs
-addLimbs(const Limbs &a, const Limbs &b)
-{
-    Limbs out(std::max(a.size(), b.size()) + 1, 0);
-    std::copy(a.begin(), a.end(), out.begin());
-    addShifted(out, b, 0);
-    trimLimbs(out);
-    return out;
-}
-
-/**
- * Karatsuba recursion: split both operands at `half` limbs so
- * a = a1*B + a0, b = b1*B + b0 (B = 2^(64*half)) and combine three
- * half-size products. z1 = (a0+a1)(b0+b1) - z0 - z2 can never
- * underflow, so the subInPlace panic path is unreachable here.
- */
-Limbs
-mulLimbs(const Limbs &a, const Limbs &b)
-{
-    if (std::min(a.size(), b.size()) <
-        BigInt::kKaratsubaThresholdLimbs) {
-        return mulSchoolbookLimbs(a, b);
-    }
-
-    const size_t half = (std::max(a.size(), b.size()) + 1) / 2;
-    const auto low = [half](const Limbs &v) {
-        Limbs out(v.begin(),
-                  v.begin() + static_cast<long>(
-                                  std::min(half, v.size())));
-        trimLimbs(out);
-        return out;
-    };
-    const auto high = [half](const Limbs &v) {
-        if (v.size() <= half)
-            return Limbs{};
-        return Limbs(v.begin() + static_cast<long>(half), v.end());
-    };
-
-    const Limbs a0 = low(a), a1 = high(a);
-    const Limbs b0 = low(b), b1 = high(b);
-
-    const Limbs z0 = mulLimbs(a0, b0);
-    const Limbs z2 = mulLimbs(a1, b1);
-    Limbs z1 = mulLimbs(addLimbs(a0, a1), addLimbs(b0, b1));
-    subInPlace(z1, z0);
-    subInPlace(z1, z2);
-
-    Limbs out(a.size() + b.size() + 1, 0);
-    addShifted(out, z0, 0);
-    addShifted(out, z1, half);
-    addShifted(out, z2, 2 * half);
     trimLimbs(out);
     return out;
 }
@@ -440,14 +364,6 @@ BigInt::operator*(const BigInt &o) const
         return BigInt();
     BigInt out;
     out.limbs_ = mulLimbs(limbs_, o.limbs_);
-    return out;
-}
-
-BigInt
-BigInt::mulSchoolbook(const BigInt &a, const BigInt &b)
-{
-    BigInt out;
-    out.limbs_ = mulSchoolbookLimbs(a.limbs_, b.limbs_);
     return out;
 }
 
@@ -930,11 +846,9 @@ BigInt::modExpSchoolbook(const BigInt &exp, const BigInt &m) const
     BigInt result = BigInt(1).divmodSchoolbook(m).second; // m == 1
     const unsigned bits = exp.bitLength();
     for (unsigned i = bits; i-- > 0;) {
-        result = mulSchoolbook(result, result).divmodSchoolbook(m)
-                     .second;
+        result = (result * result).divmodSchoolbook(m).second;
         if (exp.bit(i))
-            result = mulSchoolbook(result, base).divmodSchoolbook(m)
-                         .second;
+            result = (result * base).divmodSchoolbook(m).second;
     }
     return result;
 }

@@ -6,14 +6,14 @@
  * divmod, modular exponentiation, modular inverse, gcd and
  * Miller-Rabin primality. Little-endian 64-bit limbs.
  *
- * The hot paths are tuned for RSA-sized operands: multiplication
- * switches to Karatsuba above kKaratsubaThresholdLimbs, division is
+ * The hot paths are tuned for RSA-sized operands (32 limbs at 2048
+ * bits): multiplication is the schoolbook product, division is
  * limb-based Knuth Algorithm D, and modExp runs a 4-bit window over
  * one fixed-width CIOS Montgomery kernel for odd moduli (see
  * MontgomeryCtx), as do the Miller-Rabin witness rounds of key
- * generation. The pre-optimization schoolbook/binary algorithms are
- * retained as *Schoolbook reference methods so differential tests can
- * prove the fast paths bit-identical.
+ * generation. The pre-optimization division and binary
+ * exponentiation are retained as *Schoolbook reference methods so
+ * differential tests can prove the fast paths bit-identical.
  */
 
 #ifndef SECPROC_CRYPTO_BIGINT_HH
@@ -35,15 +35,6 @@ class MontgomeryCtx;
 class BigInt
 {
   public:
-    /**
-     * Limb count at or above which operator* recurses via Karatsuba
-     * instead of running the schoolbook inner loop. Tuned by sweeping
-     * 16..128-limb products on x86-64 (__uint128_t schoolbook inner
-     * loop): below ~48 limbs the O(n^2) loop's constant factors win;
-     * at 64 limbs Karatsuba is ~1.3x and at 128 limbs ~1.4x faster.
-     */
-    static constexpr size_t kKaratsubaThresholdLimbs = 48;
-
     /** Zero. */
     BigInt() = default;
 
@@ -89,7 +80,7 @@ class BigInt
     // Arithmetic.
     BigInt operator+(const BigInt &o) const;
     BigInt operator-(const BigInt &o) const; ///< panics on underflow
-    BigInt operator*(const BigInt &o) const; ///< Karatsuba above threshold
+    BigInt operator*(const BigInt &o) const; ///< schoolbook product
     BigInt operator<<(unsigned bits) const;
     BigInt operator>>(unsigned bits) const;
 
@@ -133,14 +124,13 @@ class BigInt
 
     /**
      * Reference implementations preserving the pre-optimization
-     * algorithms (schoolbook multiplication, bit-at-a-time restoring
-     * division, binary square-and-multiply). They exist so the fast
+     * algorithms (bit-at-a-time restoring division, binary
+     * square-and-multiply over operator*). They exist so the fast
      * paths can be differentially tested against them and so the
      * rsa_throughput bench can report an honest speedup; production
-     * code should use operator*, divmod and modExp.
+     * code should use divmod and modExp.
      * @{
      */
-    static BigInt mulSchoolbook(const BigInt &a, const BigInt &b);
     std::pair<BigInt, BigInt>
     divmodSchoolbook(const BigInt &div) const;
     BigInt modExpSchoolbook(const BigInt &exp, const BigInt &m) const;

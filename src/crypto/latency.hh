@@ -18,6 +18,7 @@
 #ifndef SECPROC_CRYPTO_LATENCY_HH
 #define SECPROC_CRYPTO_LATENCY_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "obs/trace.hh"
@@ -49,6 +50,8 @@ struct CryptoEngineConfig
      * 0 or 1 models the paper's fully pipelined assumption.
      */
     uint32_t initiation_interval = 1;
+
+    auto operator<=>(const CryptoEngineConfig &) const = default;
 };
 
 /**

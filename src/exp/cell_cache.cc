@@ -1,15 +1,18 @@
 /**
  * @file
- * Cell memoization: canonical config digest + keyed shared_futures.
+ * Cell memoization: keyed shared_futures, the key compared field by
+ * field through the configs' defaulted operator<=>.
  */
 
 #include "exp/cell_cache.hh"
 
+#include <compare>
 #include <cstdlib>
 #include <future>
 #include <map>
 #include <mutex>
-#include <sstream>
+#include <optional>
+#include <utility>
 
 namespace secproc::exp
 {
@@ -17,109 +20,33 @@ namespace secproc::exp
 namespace
 {
 
-/**
- * Completeness tripwire: configDigest() must name every SystemConfig
- * field, or two different machines could alias one cache entry. A
- * new field changes the struct size, which trips this assert until
- * the digest (and then this constant) is updated. Layout is
- * ABI-specific, so the check only runs on the x86-64 System V ABI
- * the CI matrix builds.
- */
-#if defined(__x86_64__) && defined(__linux__)
-static_assert(sizeof(sim::SystemConfig) == 352,
-              "SystemConfig changed: extend exp::configDigest() with "
-              "the new field(s), then update this expected size");
-#endif
-
-void
-cacheField(std::ostringstream &out, const char *name, uint64_t value)
-{
-    out << name << '=' << value << ';';
-}
-
-void
-cacheCache(std::ostringstream &out, const char *prefix,
-           const mem::CacheConfig &cache)
-{
-    out << prefix << "={" << cache.name << ',' << cache.size_bytes
-        << ',' << cache.assoc << ',' << cache.line_size << ','
-        << static_cast<int>(cache.policy) << "};";
-}
-
-std::string
+std::optional<std::string>
 liveEnvironment(const char *name)
 {
     const char *value = std::getenv(name);
-    return value == nullptr ? std::string{"<unset>"}
-                            : std::string{value};
+    if (value == nullptr)
+        return std::nullopt;
+    return std::string{value};
 }
 
-} // namespace
-
-std::string
-configDigest(const sim::SystemConfig &config)
+/** Everything a cell's result depends on. */
+struct CellKey
 {
-    std::ostringstream out;
+    std::string bench;
+    uint64_t warmup_instructions = 0;
+    uint64_t measure_instructions = 0;
+    uint64_t seed_override = 0;
+    std::optional<std::string> env_warmup;
+    std::optional<std::string> env_measure;
+    sim::SystemConfig config;
 
-    cacheField(out, "core.rob", config.core.rob_size);
-    cacheField(out, "core.width", config.core.width);
-    cacheField(out, "core.redirect", config.core.redirect_penalty);
-    cacheField(out, "core.int", config.core.int_latency);
-    cacheField(out, "core.mul", config.core.mul_latency);
-    cacheField(out, "core.fp", config.core.fp_latency);
-    cacheField(out, "core.blocking", config.core.blocking_loads);
-
-    cacheCache(out, "l1i", config.l1i);
-    cacheCache(out, "l1d", config.l1d);
-    cacheCache(out, "l2", config.l2);
-
-    const mem::ChannelConfig &ch = config.channel;
-    cacheField(out, "ch.access", ch.access_latency);
-    cacheField(out, "ch.transfer", ch.transfer_cycles);
-    cacheField(out, "ch.small_transfer", ch.small_transfer_cycles);
-    cacheField(out, "ch.wbuf", ch.write_buffer_entries);
-    cacheField(out, "ch.line_bytes", ch.line_bytes);
-    cacheField(out, "ch.small_bytes", ch.small_bytes);
-    cacheField(out, "ch.starve", ch.bg_starvation_bound);
-    cacheField(out, "ch.use_dram", ch.use_dram);
-    cacheField(out, "dram.banks", ch.dram.num_banks);
-    cacheField(out, "dram.row_bytes", ch.dram.row_bytes);
-    cacheField(out, "dram.hit", ch.dram.row_hit_latency);
-    cacheField(out, "dram.miss", ch.dram.row_miss_latency);
-    cacheField(out, "dram.conflict", ch.dram.row_conflict_latency);
-    cacheField(out, "dram.busy", ch.dram.bank_busy_cycles);
-    cacheField(out, "dram.closed", ch.dram.closed_page);
-
-    const secure::ProtectionConfig &prot = config.protection;
-    cacheField(out, "prot.model", static_cast<int>(prot.model));
-    cacheField(out, "crypto.latency", prot.crypto.latency);
-    cacheField(out, "crypto.ii", prot.crypto.initiation_interval);
-    cacheField(out, "snc.capacity", prot.snc.capacity_bytes);
-    cacheField(out, "snc.entry_bytes", prot.snc.bytes_per_entry);
-    cacheField(out, "snc.assoc", prot.snc.assoc);
-    cacheField(out, "snc.replace", prot.snc.allow_replacement);
-    cacheField(out, "snc.line", prot.snc.l2_line_size);
-    cacheField(out, "snc.sector", prot.snc.sector_lines);
-    cacheField(out, "prot.parallel_seqnum",
-               prot.parallel_seqnum_fetch);
-    cacheField(out, "prot.pad_predict", prot.pad_prediction);
-    cacheField(out, "prot.pad_entries", prot.pad_buffer_entries);
-    cacheField(out, "prot.line", prot.line_size);
-
-    cacheField(out, "cipher", static_cast<int>(config.cipher));
-    cacheField(out, "mshrs", config.mshrs);
-    cacheField(out, "functional", config.functional);
-
-    return out.str();
-}
-
-namespace
-{
+    auto operator<=>(const CellKey &) const = default;
+};
 
 struct CellCache
 {
     std::mutex mutex;
-    std::map<std::string, std::shared_future<sim::RunStats>> cells;
+    std::map<CellKey, std::shared_future<sim::RunStats>> cells;
     size_t hits = 0;
 };
 
@@ -137,14 +64,13 @@ cachedRunCell(const std::string &bench,
               const sim::SystemConfig &config,
               const RunOptions &options, uint64_t seed_override)
 {
-    std::ostringstream key;
-    key << "bench=" << bench << ";warmup="
-        << options.warmup_instructions
-        << ";measure=" << options.measure_instructions
-        << ";seed=" << seed_override
-        << ";env.warmup=" << liveEnvironment("SECPROC_WARMUP")
-        << ";env.measure=" << liveEnvironment("SECPROC_MEASURE")
-        << ';' << configDigest(config);
+    CellKey key{bench,
+                options.warmup_instructions,
+                options.measure_instructions,
+                seed_override,
+                liveEnvironment("SECPROC_WARMUP"),
+                liveEnvironment("SECPROC_MEASURE"),
+                config};
 
     CellCache &memo = cache();
     std::promise<sim::RunStats> mine;
@@ -152,13 +78,13 @@ cachedRunCell(const std::string &bench,
     bool compute = false;
     {
         std::lock_guard<std::mutex> lock(memo.mutex);
-        const auto it = memo.cells.find(key.str());
+        const auto it = memo.cells.find(key);
         if (it != memo.cells.end()) {
             ++memo.hits;
             result = it->second; // get() happens outside the lock
         } else {
             result =
-                memo.cells.emplace(key.str(), mine.get_future().share())
+                memo.cells.emplace(std::move(key), mine.get_future().share())
                     .first->second;
             compute = true;
         }

@@ -12,14 +12,15 @@
  * concurrent workers asking for the same key block on the future
  * instead of duplicating megacycles of simulation.
  *
- * The key is the complete cell identity — the benchmark name, a
- * canonical digest of *every* SystemConfig field (configDigest), the
- * run lengths, the seed override, and the live SECPROC_WARMUP /
- * SECPROC_MEASURE environment values. Including the environment
- * strings means a process that mutates those overrides between runs
- * (tests, the CI kernel-equivalence harness) is never served a cell
- * computed under the old settings, even if it reuses a stale
- * RunOptions value built before the change.
+ * The key is the complete cell identity — the benchmark name, the
+ * run lengths, the seed override, the live SECPROC_WARMUP /
+ * SECPROC_MEASURE environment values, and the SystemConfig itself,
+ * compared through its defaulted operator<=> so every field counts,
+ * new ones included. Including the environment strings means a
+ * process that mutates those overrides between runs (tests, the CI
+ * kernel-equivalence harness) is never served a cell computed under
+ * the old settings, even if it reuses a stale RunOptions value built
+ * before the change.
  */
 
 #ifndef SECPROC_EXP_CELL_CACHE_HH
@@ -32,15 +33,6 @@
 
 namespace secproc::exp
 {
-
-/**
- * Canonical text serialization of every SystemConfig field, suitable
- * as a cache key component: two configs digest equal iff they
- * describe the same machine. Kept exhaustive by a size tripwire in
- * cell_cache.cc — adding a SystemConfig field without extending the
- * digest fails the build there.
- */
-std::string configDigest(const sim::SystemConfig &config);
 
 /**
  * runCell() through the process-wide memo. Safe to call from any

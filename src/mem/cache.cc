@@ -21,8 +21,7 @@ namespace secproc::mem
 {
 
 Cache::Cache(const CacheConfig &config)
-    : config_(config),
-      victim_rng_(0xC0FFEEull ^ std::hash<std::string>{}(config.name))
+    : config_(config)
 {
     fatal_if(!util::isPowerOfTwo(config_.line_size),
              config_.name, ": line size must be a power of two, got ",
@@ -82,8 +81,6 @@ Cache::pushBack(uint64_t set, uint32_t idx)
 Cache::RunShape
 Cache::runShape(uint64_t first, uint64_t count, uint64_t stride) const
 {
-    panic_if(config_.policy == ReplacementPolicy::Random,
-             config_.name, ": a bulk fill needs a fixed victim order");
     fatal_if(count > 1 && (count - 1) > (~uint64_t{0} - first) /
                                             std::max<uint64_t>(stride, 1),
              config_.name, ": bulk fill run wraps the address space");
@@ -203,25 +200,11 @@ Cache::fill(uint64_t addr, bool dirty, uint64_t meta)
 
     // Victim: the set's recency tail. Invalid ways are kept at the
     // tail (see invalidate), so free slots are consumed first.
-    uint32_t idx = tail_[set];
-    if (tag_words_[idx] & 1) {
-        switch (config_.policy) {
-          case ReplacementPolicy::NoReplacement:
-            ++rejected_fills_;
-            return std::nullopt;
-          case ReplacementPolicy::Random: {
-            // Any way of the set, not necessarily the LRU one.
-            uint32_t hops = static_cast<uint32_t>(
-                victim_rng_.nextRange(ways_));
-            idx = head_[set];
-            while (hops-- > 0 && next_[idx] != kNoEntry)
-                idx = next_[idx];
-            break;
-          }
-          case ReplacementPolicy::Lru:
-          case ReplacementPolicy::Fifo:
-            break; // tail is correct
-        }
+    const uint32_t idx = tail_[set];
+    if ((tag_words_[idx] & 1) &&
+        config_.policy == ReplacementPolicy::NoReplacement) {
+        ++rejected_fills_;
+        return std::nullopt;
     }
 
     Victim victim;

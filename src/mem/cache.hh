@@ -7,7 +7,7 @@
  * tracks tags, dirtiness, a per-line 64-bit metadata word (the L2
  * uses it to remember each line's virtual address as the paper's
  * Section 4 requires; the SNC stores the sequence number itself) and
- * supports LRU, FIFO, Random and no-replacement policies.
+ * supports LRU and no-replacement policies.
  *
  * The cache stores no data bytes: functional contents live in the
  * OnChipStore / MainMemory pair so the timing model stays compact.
@@ -16,6 +16,7 @@
 #ifndef SECPROC_MEM_CACHE_HH
 #define SECPROC_MEM_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "util/radix_array.hh"
-#include "util/random.hh"
 #include "util/stats.hh"
 
 namespace secproc::obs
@@ -38,8 +38,6 @@ namespace secproc::mem
 enum class ReplacementPolicy
 {
     Lru,
-    Fifo,
-    Random,
     /**
      * Never evict: fills fail once the set is full. This is the
      * paper's "no replacement" SNC operating policy (Section 4.1).
@@ -59,6 +57,8 @@ struct CacheConfig
 
     /** Number of lines implied by the geometry. */
     uint64_t numLines() const { return size_bytes / line_size; }
+
+    auto operator<=>(const CacheConfig &) const = default;
 };
 
 /** Entry index meaning "no directory entry" (a miss). */
@@ -185,7 +185,7 @@ class Cache
      * No line of the run may be resident. The stride is at most a
      * line (consecutive lines, each accessed one or more times) or a
      * multiple of one (one access per line), and the run must not wrap
-     * the address space; the policy is LRU, FIFO or NoReplacement.
+     * the address space.
      * @p displaced receives every line resident before the run that
      * the run evicts, with the entry it held; then @p access(i, const
      * RunAccess &) is called for every access in run order.
@@ -274,7 +274,6 @@ class Cache
      */
     std::vector<uint64_t> tag_words_;
     uint64_t occupancy_ = 0;
-    util::Rng victim_rng_;
 
     /**
      * Low-associativity sets are probed by scanning their ways
@@ -404,15 +403,12 @@ Cache::lookup(uint64_t addr, bool write)
         return kNoEntry;
     }
     ++hits_;
-    // FIFO recency is fixed at insertion; only LRU tracks touches.
     // Re-touching the MRU line (the overwhelmingly common case) is a
     // no-op, so skip the list splice entirely.
-    if (config_.policy != ReplacementPolicy::Fifo) {
-        const uint64_t set = setIndex(line_number);
-        if (head_[set] != idx) {
-            unlink(set, idx);
-            pushFront(set, idx);
-        }
+    const uint64_t set = setIndex(line_number);
+    if (head_[set] != idx) {
+        unlink(set, idx);
+        pushFront(set, idx);
     }
     if (write)
         lines_[idx].dirty = true;

@@ -20,6 +20,7 @@
 #ifndef SECPROC_MEM_DRAM_HH
 #define SECPROC_MEM_DRAM_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -60,6 +61,8 @@ struct DramConfig
 
     /** Close the row after every access (closed-page policy). */
     bool closed_page = false;
+
+    auto operator<=>(const DramConfig &) const = default;
 };
 
 /**

@@ -29,6 +29,7 @@
 #define SECPROC_MEM_MEMORY_CHANNEL_HH
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -107,6 +108,8 @@ struct ChannelConfig
 
     /** DRAM geometry/timing when use_dram is set. */
     DramConfig dram;
+
+    auto operator<=>(const ChannelConfig &) const = default;
 };
 
 /**

@@ -7,11 +7,10 @@
 #ifndef SECPROC_SECURE_ENGINES_HH
 #define SECPROC_SECURE_ENGINES_HH
 
-#include <deque>
 #include <optional>
+#include <utility>
 
 #include "secure/protection_engine.hh"
-#include "util/flat_map.hh"
 #include "util/radix_array.hh"
 
 namespace secproc::secure
@@ -171,12 +170,14 @@ class OtpEngine : public ProtectionEngine
     util::RadixArray<uint32_t> memory_table_;
 
     /**
-     * Pad buffer (pad_prediction): seed -> cycle the pre-generated
-     * pad is ready. Bounded FIFO; timing-only state (the pad bytes
-     * are deterministic from the seed, so applyFill needs nothing).
+     * Pad buffer (pad_prediction): (seed, cycle the pre-generated pad
+     * is ready), oldest first. It holds at most pad_buffer_entries
+     * entries (32 by default), so it is searched linearly.
+     * Timing-only state (the pad bytes are deterministic from the
+     * seed, so applyFill needs nothing).
      */
-    util::FlatMap<uint64_t> pad_buffer_;
-    std::deque<uint64_t> pad_buffer_fifo_;
+    using PredictedPad = std::pair<uint64_t, uint64_t>;
+    std::vector<PredictedPad> pad_buffer_;
 
     util::Counter query_miss_fills_;
     util::Counter direct_fallback_fills_;

@@ -500,11 +500,11 @@ OtpEngine::applyEvict(const EvictPlan &plan,
 std::optional<uint64_t>
 OtpEngine::takePredictedPad(uint64_t seed)
 {
-    const uint64_t *it = pad_buffer_.find(seed);
-    if (it == nullptr)
+    const auto it = std::ranges::find(pad_buffer_, seed, &PredictedPad::first);
+    if (it == pad_buffer_.end())
         return std::nullopt;
-    const uint64_t ready = *it;
-    pad_buffer_.erase(seed);
+    const uint64_t ready = it->second;
+    pad_buffer_.erase(it);
     return ready;
 }
 
@@ -526,17 +526,16 @@ OtpEngine::predictNextPad(uint64_t line_va, bool ifetch, uint64_t cycle)
         seqnum = *peeked;
     }
     const uint64_t seed = makeSeed(next_va, seqnum);
-    if (pad_buffer_.contains(seed))
+    if (std::ranges::find(pad_buffer_, seed, &PredictedPad::first) !=
+        pad_buffer_.end())
         return;
-    // FIFO bound: forget the oldest predictions (timing state only).
-    // Consumed entries may linger in the queue; skip them.
-    while (pad_buffer_.size() >= config_.pad_buffer_entries &&
-           !pad_buffer_fifo_.empty()) {
-        pad_buffer_.erase(pad_buffer_fifo_.front());
-        pad_buffer_fifo_.pop_front();
-    }
-    pad_buffer_[seed] = crypto_engine_.schedule(cycle);
-    pad_buffer_fifo_.push_back(seed);
+    // FIFO bound: forget the oldest prediction (timing state only).
+    // A consumed pad already left the buffer, so it never displaces
+    // a live one.
+    if (!pad_buffer_.empty() &&
+        pad_buffer_.size() >= config_.pad_buffer_entries)
+        pad_buffer_.erase(pad_buffer_.begin());
+    pad_buffer_.emplace_back(seed, crypto_engine_.schedule(cycle));
     ++pad_predictions_;
 }
 
@@ -562,7 +561,6 @@ OtpEngine::reset()
     snc_.resetStats();
     memory_table_.clear();
     pad_buffer_.clear();
-    pad_buffer_fifo_.clear();
     query_miss_fills_.reset();
     direct_fallback_fills_.reset();
     pad_predictions_.reset();

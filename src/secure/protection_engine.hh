@@ -26,6 +26,7 @@
 #ifndef SECPROC_SECURE_PROTECTION_ENGINE_HH
 #define SECPROC_SECURE_PROTECTION_ENGINE_HH
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -106,6 +107,8 @@ struct ProtectionConfig
 
     /** L2 line size in bytes. */
     uint32_t line_size = 128;
+
+    auto operator<=>(const ProtectionConfig &) const = default;
 };
 
 /** State-advance record for one line fill. */

@@ -20,6 +20,7 @@
 #ifndef SECPROC_SECURE_SNC_HH
 #define SECPROC_SECURE_SNC_HH
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -87,6 +88,8 @@ struct SncConfig
                    ? 0xFFFFFFFFu
                    : (1u << (8 * bytes_per_entry)) - 1;
     }
+
+    auto operator<=>(const SncConfig &) const = default;
 };
 
 /** One flushed or spilled entry (context switches, sector victims). */

@@ -20,6 +20,7 @@
 #ifndef SECPROC_SIM_CORE_HH
 #define SECPROC_SIM_CORE_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,6 +54,8 @@ struct CoreConfig
      * (ablation_core_model).
      */
     bool blocking_loads = false;
+
+    auto operator<=>(const CoreConfig &) const = default;
 };
 
 /**

@@ -12,6 +12,7 @@
 #ifndef SECPROC_SIM_SYSTEM_HH
 #define SECPROC_SIM_SYSTEM_HH
 
+#include <compare>
 #include <utility>
 #include <memory>
 #include <optional>
@@ -97,6 +98,8 @@ struct SystemConfig
     bool functional = false;
 
     SystemConfig();
+
+    auto operator<=>(const SystemConfig &) const = default;
 };
 
 /** End-of-run summary. */

@@ -799,41 +799,36 @@ TEST(BigInt, RandomPrimeHasExactBitLength)
 
 // ------------------------------------------- BigInt fast-path differentials
 //
-// The optimized paths (Karatsuba multiply, Knuth-D divmod, Montgomery
-// modExp) must be bit-identical to the retained schoolbook reference
-// implementations. Together these loops cross-check well over 1000
-// randomized cases spanning 512/1024/2048-bit (and larger) operands.
+// The optimized paths (Knuth-D divmod, Montgomery modExp) must be
+// bit-identical to the retained schoolbook reference implementations,
+// and the one product must invert under the reference division.
+// Together these loops cross-check well over 1000 randomized cases
+// spanning 512/1024/2048-bit (and larger) operands.
 
-TEST(BigIntDifferential, MulMatchesSchoolbook)
+TEST(BigIntDifferential, ProductDividesBackUnderRestoringDivision)
 {
     Rng rng(41);
-    for (int i = 0; i < 400; ++i) {
-        // Spans both sides of kKaratsubaThresholdLimbs (48 limbs =
-        // 3072 bits), including asymmetric operand sizes.
+    for (int i = 0; i < 100; ++i) {
+        // From one limb to well past 2048-bit keys' 32 limbs,
+        // including asymmetric operand sizes.
         const unsigned abits =
             64 + static_cast<unsigned>(rng.next64() % 4100);
         const unsigned bbits =
             64 + static_cast<unsigned>(rng.next64() % 4100);
         const BigInt a = BigInt::randomBits(abits, rng);
         const BigInt b = BigInt::randomBits(bbits, rng);
-        ASSERT_EQ(a * b, BigInt::mulSchoolbook(a, b))
-            << "abits=" << abits << " bbits=" << bbits;
+        const auto [q, r] = (a * b).divmodSchoolbook(b);
+        ASSERT_EQ(q, a) << "abits=" << abits << " bbits=" << bbits;
+        ASSERT_TRUE(r.isZero()) << "abits=" << abits << " bbits=" << bbits;
     }
-}
-
-TEST(BigIntDifferential, MulKaratsubaBoundarySizes)
-{
-    Rng rng(42);
-    const unsigned t =
-        static_cast<unsigned>(BigInt::kKaratsubaThresholdLimbs);
-    for (unsigned limbs : {t - 1, t, t + 1, 2 * t, 2 * t + 3}) {
-        const BigInt a = BigInt::randomBits(64 * limbs, rng);
-        const BigInt b = BigInt::randomBits(64 * limbs - 17, rng);
-        EXPECT_EQ(a * b, BigInt::mulSchoolbook(a, b))
-            << "limbs=" << limbs;
-        // Operands with many zero limbs stress the split/trim logic.
-        const BigInt sparse = BigInt(1) << (64 * limbs - 1);
-        EXPECT_EQ(a * sparse, BigInt::mulSchoolbook(a, sparse));
+    // A power of two is the sparsest operand: every limb below its
+    // bit is zero, on either side of the product.
+    for (unsigned k : {0u, 1u, 63u, 64u, 65u, 2047u, 3072u, 4159u}) {
+        const BigInt a = BigInt::randomBits(
+            64 + static_cast<unsigned>(rng.next64() % 4100), rng);
+        const BigInt power = BigInt(1) << k;
+        EXPECT_EQ(a * power, a << k) << "k=" << k;
+        EXPECT_EQ(power * a, a << k) << "k=" << k;
     }
 }
 

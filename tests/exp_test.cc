@@ -341,24 +341,39 @@ TEST(Report, JsonDocumentRoundTripsAndMatchesCells)
     }
 }
 
-TEST(CellCache, DigestSeparatesConfigsAndMatchesEqualOnes)
+TEST(CellCache, KeySeparatesConfigsAndMatchesEqualOnes)
 {
+    exp::clearCellCache();
     const sim::SystemConfig a =
         sim::paperConfig(secure::SecurityModel::OtpSnc);
-    sim::SystemConfig b = a;
-    EXPECT_EQ(exp::configDigest(a), exp::configDigest(b));
+    const exp::RunOptions options = quickOptions();
+    exp::cachedRunCell("gcc", a, options);
+    EXPECT_EQ(exp::cellCacheStats().entries, 1u);
 
-    // A deep field no coarse key would notice must change the digest.
+    // A deep field no coarse key would notice must add an entry.
+    sim::SystemConfig b = a;
     b.protection.snc.sector_lines = 4;
-    EXPECT_NE(exp::configDigest(a), exp::configDigest(b));
+    exp::cachedRunCell("gcc", b, options);
+    EXPECT_EQ(exp::cellCacheStats().entries, 2u);
 
     sim::SystemConfig c = a;
     c.channel.bg_starvation_bound += 1;
-    EXPECT_NE(exp::configDigest(a), exp::configDigest(c));
+    exp::cachedRunCell("gcc", c, options);
+    EXPECT_EQ(exp::cellCacheStats().entries, 3u);
 
     sim::SystemConfig d = a;
     d.core.blocking_loads = true;
-    EXPECT_NE(exp::configDigest(a), exp::configDigest(d));
+    exp::cachedRunCell("gcc", d, options);
+    EXPECT_EQ(exp::cellCacheStats().entries, 4u);
+    EXPECT_EQ(exp::cellCacheStats().hits, 0u);
+
+    // An equal config, built separately, is the same cell.
+    exp::cachedRunCell("gcc",
+                       sim::paperConfig(secure::SecurityModel::OtpSnc),
+                       options);
+    EXPECT_EQ(exp::cellCacheStats().entries, 4u);
+    EXPECT_EQ(exp::cellCacheStats().hits, 1u);
+    exp::clearCellCache();
 }
 
 TEST(CellCache, SecondRequestIsAHitAndBitIdentical)

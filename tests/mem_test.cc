@@ -12,6 +12,7 @@
 #include "mem/memory_channel.hh"
 #include "mem/on_chip_store.hh"
 #include "mem/virtual_memory.hh"
+#include "util/random.hh"
 
 namespace
 {
@@ -61,19 +62,6 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_EQ(victim->meta, 2u);
     EXPECT_TRUE(cache.probe(0));
     EXPECT_FALSE(cache.probe(1 * set_stride));
-}
-
-TEST(Cache, FifoIgnoresTouches)
-{
-    Cache cache(smallCache(ReplacementPolicy::Fifo));
-    const uint64_t set_stride = 64 * 8;
-    cache.fill(0 * set_stride, false, 0);
-    cache.fill(1 * set_stride, false, 0);
-    // Touching the oldest must not save it under FIFO.
-    EXPECT_TRUE(cache.access(0, false));
-    const auto victim = cache.fill(2 * set_stride, false, 0);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->line_addr, 0u) << "FIFO evicts insertion order";
 }
 
 TEST(Cache, NoReplacementRejectsWhenFull)

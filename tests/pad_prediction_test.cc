@@ -182,6 +182,28 @@ TEST_F(PadPrediction, BufferIsBounded)
     EXPECT_GT(engine.padPredictions(), 0u);
 }
 
+TEST_F(PadPrediction, ConsumedPadNeverEvictsItsReprediction)
+{
+    // A two-entry buffer. Fill 2 consumes line 1's pad and fill 3
+    // predicts it again; fill 4 must then displace the oldest live
+    // prediction (line 2's, from fill 2), not the re-prediction, so
+    // fill 5 hits.
+    mem::MemoryChannel channel(channelConfig(40));
+    ProtectionConfig config = engineConfig(100, true);
+    config.pad_buffer_entries = 2;
+    OtpEngine engine(config, channel, keys_);
+    for (uint64_t i = 0; i < 8; ++i)
+        engine.planEvict(0x50000 + i * 128, mem::RegionKind::Protected);
+
+    uint64_t cycle = 10'000;
+    for (uint64_t line : {0, 1, 0, 4, 1}) {
+        engine.lineFill(0x50000 + line * 128, cycle, false,
+                        mem::RegionKind::Protected);
+        cycle += 1000;
+    }
+    EXPECT_EQ(engine.padPredictionHits(), 2u);
+}
+
 TEST_F(PadPrediction, PredictionNeverChangesFunctionalBytes)
 {
     // applyFill is driven purely by (line, seqnum): identical plans

@@ -11,10 +11,8 @@
 #include <limits>
 #include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/bitops.hh"
-#include "util/flat_map.hh"
 #include "util/random.hh"
 #include "util/stats.hh"
 #include "util/strutil.hh"
@@ -517,125 +515,6 @@ TEST(Table, RendersAlignedColumns)
     // Header separator row present.
     EXPECT_NE(out.find("|---"), std::string::npos);
     EXPECT_EQ(t.rowCount(), 2u);
-}
-
-
-// --------------------------------------------------------------- flat_map
-
-TEST(FlatMap, BasicInsertFindErase)
-{
-    FlatMap<uint32_t> map;
-    EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.find(0x1000), nullptr);
-
-    map[0x1000] = 7;
-    map.insert(0x2000, 9);
-    EXPECT_EQ(map.size(), 2u);
-    ASSERT_NE(map.find(0x1000), nullptr);
-    EXPECT_EQ(*map.find(0x1000), 7u);
-    EXPECT_EQ(*map.find(0x2000), 9u);
-    EXPECT_TRUE(map.contains(0x2000));
-    EXPECT_FALSE(map.contains(0x3000));
-
-    map.insert(0x1000, 11); // overwrite
-    EXPECT_EQ(*map.find(0x1000), 11u);
-    EXPECT_EQ(map.size(), 2u);
-
-    EXPECT_TRUE(map.erase(0x1000));
-    EXPECT_FALSE(map.erase(0x1000));
-    EXPECT_EQ(map.find(0x1000), nullptr);
-    EXPECT_EQ(map.size(), 1u);
-
-    map.clear();
-    EXPECT_TRUE(map.empty());
-    EXPECT_EQ(map.find(0x2000), nullptr);
-}
-
-TEST(FlatMap, ZeroKeyAndDefaultConstruction)
-{
-    // Key 0 is a legitimate line address; operator[] must
-    // default-construct on first touch like std::unordered_map.
-    FlatMap<uint64_t> map;
-    EXPECT_EQ(map[0], 0u);
-    map[0] = 42;
-    ASSERT_NE(map.find(0), nullptr);
-    EXPECT_EQ(*map.find(0), 42u);
-    EXPECT_TRUE(map.erase(0));
-    EXPECT_EQ(map.find(0), nullptr);
-}
-
-TEST(FlatMap, DifferentialChurnAgainstStdUnorderedMap)
-{
-    // The simulator's tables see heavy insert/erase churn on
-    // line-aligned keys. Drive both maps with the same random
-    // operation stream and require identical observable behaviour,
-    // which exercises growth, collisions, and backward-shift
-    // deletion together.
-    FlatMap<uint32_t> flat;
-    std::unordered_map<uint64_t, uint32_t> ref;
-    Rng rng(0xf1a7);
-
-    for (int op = 0; op < 200'000; ++op) {
-        // Line-aligned keys from a small space force probe chains.
-        const uint64_t key = rng.nextRange(512) * 64;
-        switch (rng.nextRange(4)) {
-        case 0:
-        case 1: {
-            const uint32_t value = static_cast<uint32_t>(rng.next64());
-            flat.insert(key, value);
-            ref[key] = value;
-            break;
-        }
-        case 2: {
-            EXPECT_EQ(flat.erase(key), ref.erase(key) == 1);
-            break;
-        }
-        case 3: {
-            const uint32_t *it = flat.find(key);
-            const auto ref_it = ref.find(key);
-            if (ref_it == ref.end()) {
-                EXPECT_EQ(it, nullptr) << "key " << key;
-            } else {
-                ASSERT_NE(it, nullptr) << "key " << key;
-                EXPECT_EQ(*it, ref_it->second);
-            }
-            break;
-        }
-        }
-        EXPECT_EQ(flat.size(), ref.size());
-    }
-
-    // Final sweep: every surviving key must agree.
-    for (const auto &[key, value] : ref) {
-        ASSERT_NE(flat.find(key), nullptr);
-        EXPECT_EQ(*flat.find(key), value);
-    }
-}
-
-TEST(FlatMap, ReserveAvoidsGrowthAndKeepsEntries)
-{
-    FlatMap<uint32_t> map;
-    map.reserve(10'000);
-    for (uint64_t i = 0; i < 10'000; ++i)
-        map[i * 64] = static_cast<uint32_t>(i);
-    EXPECT_EQ(map.size(), 10'000u);
-    for (uint64_t i = 0; i < 10'000; ++i) {
-        ASSERT_NE(map.find(i * 64), nullptr);
-        EXPECT_EQ(*map.find(i * 64), static_cast<uint32_t>(i));
-    }
-}
-
-TEST(FlatMap, NonTrivialValueType)
-{
-    // SequenceNumberCache stores std::vector slot tables.
-    FlatMap<std::vector<uint32_t>> map;
-    map.insert(0x40, std::vector<uint32_t>(4, 5));
-    auto &slots = map[0x40];
-    ASSERT_EQ(slots.size(), 4u);
-    slots[2] = 99;
-    EXPECT_EQ((*map.find(0x40))[2], 99u);
-    EXPECT_TRUE(map.erase(0x40));
-    EXPECT_EQ(map.find(0x40), nullptr);
 }
 
 } // namespace
